@@ -31,7 +31,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "Decision",
@@ -64,13 +64,31 @@ def mix_seed(*parts: int) -> int:
     return state
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class Decision:
-    """One model's ruling on one packet."""
+    """One model's ruling on one packet.
+
+    Frozen, so the shared rulings below can be handed out to every
+    packet instead of allocating a fresh one per decision.
+    """
 
     drop: bool = False
     extra_delay: float = 0.0
     extra_copies: int = 0
+
+    def __init__(
+        self, drop: bool = False, extra_delay: float = 0.0, extra_copies: int = 0
+    ) -> None:
+        # One write instead of the frozen dataclass's three guarded
+        # setattrs: jitter still builds a Decision per packet.
+        object.__setattr__(self, "__dict__", {
+            "drop": drop, "extra_delay": extra_delay, "extra_copies": extra_copies,
+        })
+
+
+_PASS = Decision()
+_DROP = Decision(drop=True)
+_DUPLICATE = Decision(extra_copies=1)
 
 
 class PacketFate:
@@ -135,7 +153,7 @@ class IndependentLoss(ImpairmentModel):
         self.rate = rate
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
-        return Decision(drop=self.rate > 0.0 and rng.random() < self.rate)
+        return _DROP if self.rate > 0.0 and rng.random() < self.rate else _PASS
 
     def __repr__(self) -> str:
         return f"IndependentLoss({self.rate})"
@@ -249,15 +267,21 @@ class GilbertElliottLoss(ImpairmentModel):
         self._in_burst = rng.random() < p_bad
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
-        self._advance_idle(now, rng)
-        loss = self.loss_bad if self._in_burst else self.loss_good
+        # Skip the idle clock when it would advance zero steps: the same
+        # comparison ``_advance_idle`` makes, so RNG draws are unchanged.
+        timescale = self.burst_timescale
+        last = self._last_now
+        if timescale > 0.0 and (last is None or (now - last) / timescale >= 1.0):
+            self._advance_idle(now, rng)
+        in_burst = self._in_burst
+        loss = self.loss_bad if in_burst else self.loss_good
         drop = loss > 0.0 and rng.random() < loss
-        if self._in_burst:
+        if in_burst:
             if rng.random() < self.p_exit_burst:
                 self._in_burst = False
         elif rng.random() < self.p_enter_burst:
             self._in_burst = True
-        return Decision(drop=drop)
+        return _DROP if drop else _PASS
 
     def __repr__(self) -> str:
         return (
@@ -276,8 +300,9 @@ class LatencyJitter(ImpairmentModel):
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.max_jitter == 0.0:
-            return Decision()
-        return Decision(extra_delay=rng.uniform(0.0, self.max_jitter))
+            return _PASS
+        # Bit-identical to ``rng.uniform(0.0, max_jitter)``, one call cheaper.
+        return Decision(extra_delay=self.max_jitter * rng.random())
 
     def __repr__(self) -> str:
         return f"LatencyJitter({self.max_jitter})"
@@ -307,7 +332,7 @@ class Reordering(ImpairmentModel):
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.probability and rng.random() < self.probability:
             return Decision(extra_delay=rng.uniform(*self.delay_range))
-        return Decision()
+        return _PASS
 
     def __repr__(self) -> str:
         return f"Reordering(p={self.probability}, range={self.delay_range})"
@@ -326,8 +351,8 @@ class Duplication(ImpairmentModel):
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         if self.probability and rng.random() < self.probability:
-            return Decision(extra_copies=1)
-        return Decision()
+            return _DUPLICATE
+        return _PASS
 
     def __repr__(self) -> str:
         return f"Duplication(p={self.probability})"
@@ -356,7 +381,7 @@ class BandwidthLimit(ImpairmentModel):
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         backlog_bytes = max(0.0, self._busy_until - now) * self.bytes_per_sec
         if backlog_bytes + size > self.max_queue_bytes:
-            return Decision(drop=True)
+            return _DROP
         start = max(now, self._busy_until)
         self._busy_until = start + size / self.bytes_per_sec
         return Decision(extra_delay=self._busy_until - now)
@@ -380,26 +405,24 @@ class ImpairedPath:
     ) -> None:
         self.models: List[ImpairmentModel] = list(models)
         self.rng = rng if rng is not None else random.Random(seed)
-        #: Class name of the model that dropped the most recent packet
-        #: (``None`` if the last packet survived) — the link reads this
-        #: to label drop-reason counters without threading a return
-        #: channel through every model.
+        #: Class name of the model that dropped the most recently dropped
+        #: packet (``None`` until a drop) — the link reads it right after
+        #: a dropped fate to book the drop under its reason, without
+        #: threading a return channel through every model.  Per-reason
+        #: totals live in the link's ledger, which outlives any pipeline
+        #: swapped out by ``Link.impair``/``clear_impairment``.
         self.last_drop_reason: Optional[str] = None
-        #: Cumulative drops per model class name.
-        self.drop_counts: Dict[str, int] = {}
 
     def traverse(self, size: int, now: float) -> PacketFate:
         """Rule on one packet; returns its fate (drop / delays per copy)."""
-        self.last_drop_reason = None
+        rng = self.rng
         total_delay = 0.0
         extra_copies = 0
         copy_spacing = 0.0
         for model in self.models:
-            decision = model.decide(size, now, self.rng)
+            decision = model.decide(size, now, rng)
             if decision.drop:
-                reason = type(model).__name__
-                self.last_drop_reason = reason
-                self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
+                self.last_drop_reason = type(model).__name__
                 return DROPPED
             total_delay += decision.extra_delay
             if decision.extra_copies:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
 
-from ..obs.metrics import active_or_none
+from ..obs.metrics import MetricsRegistry, active_or_none
 from .impairment import (
     DELIVER_CLEAN,
     DROPPED,
@@ -33,18 +33,20 @@ DIRECTIONS = ("ab", "ba")
 
 
 class DirectionStats:
-    """Per-direction packet/byte accounting.
+    """Per-direction packet/byte accounting: the link's ledger.
 
     ``packets_offered`` counts transmission attempts entering the link;
     ``packets_carried`` counts delivered copies (duplicates included);
-    ``packets_duplicated`` counts the *extra* copies only.  Conservation:
-    ``offered == carried - duplicated + lost``.
+    ``packets_duplicated`` counts the *extra* copies only; ``drops``
+    counts lost packets per reason (the impairment model's class name, or
+    ``legacy_loss`` for the flat loss knob), and ``packets_lost`` is their
+    sum.  Conservation: ``offered == carried - duplicated + lost``.
     """
 
     __slots__ = (
         "packets_offered",
         "packets_carried",
-        "packets_lost",
+        "drops",
         "packets_duplicated",
         "bytes_carried",
     )
@@ -52,9 +54,18 @@ class DirectionStats:
     def __init__(self) -> None:
         self.packets_offered = 0
         self.packets_carried = 0
-        self.packets_lost = 0
+        self.drops: Dict[str, int] = {}
         self.packets_duplicated = 0
         self.bytes_carried = 0
+
+    @property
+    def packets_lost(self) -> int:
+        return sum(self.drops.values())
+
+    def drop(self, reason: str) -> None:
+        """Book one lost packet under ``reason``."""
+        drops = self.drops
+        drops[reason] = drops.get(reason, 0) + 1
 
     @property
     def conserved(self) -> bool:
@@ -79,6 +90,65 @@ class DirectionStats:
         )
 
 
+#: (DirectionStats field, registry counter, help text) for every
+#: per-direction ``link_*`` counter folded from the ledger.
+_FOLDED_COUNTERS = (
+    ("packets_offered", "link_packets_offered_total",
+     "Transmission attempts entering a link direction"),
+    ("packets_carried", "link_packets_carried_total",
+     "Delivered copies (duplicates included) per link direction"),
+    ("packets_duplicated", "link_packets_duplicated_total",
+     "Extra delivered copies per link direction"),
+    ("bytes_carried", "link_bytes_carried_total",
+     "Bytes delivered per link direction (duplicates included)"),
+)
+
+
+class _LedgerFold:
+    """Folds one link's ledger into the registry's ``link_*`` counters.
+
+    A registry flush hook: the counters are exact whenever they are read
+    (``get``/``snapshot``/``merge``), and forwarding never touches the
+    registry.  Each call adds only what the ledger gained since the last,
+    so repeated reads never double-count.  It holds the ledger, not the
+    link, so the registry can hold it strongly: a link collected before
+    the read still reports, and no simulation is kept alive.
+    """
+
+    __slots__ = ("name", "ledger", "folded", "counters", "dropped")
+
+    def __init__(self, name: str, ledger: Dict[str, DirectionStats],
+                 obs: MetricsRegistry) -> None:
+        self.name = name
+        self.ledger = ledger
+        self.folded = {direction: DirectionStats() for direction in ledger}
+        self.counters = {
+            field: obs.counter(metric, help_text, ("link", "direction"))
+            for field, metric, help_text in _FOLDED_COUNTERS
+        }
+        self.dropped = obs.counter(
+            "link_packets_dropped_total",
+            "Drops per link direction, labeled by the impairment that "
+            "dropped (or legacy_loss for the flat loss knob)",
+            ("link", "direction", "reason"),
+        )
+
+    def __call__(self) -> None:
+        for direction, stats in self.ledger.items():
+            done = self.folded[direction]
+            labels = (self.name, direction)
+            for field, counter in self.counters.items():
+                delta = getattr(stats, field) - getattr(done, field)
+                if delta:
+                    counter.inc(labels, delta)
+                    setattr(done, field, getattr(stats, field))
+            for reason, count in stats.drops.items():
+                delta = count - done.drops.get(reason, 0)
+                if delta:
+                    self.dropped.inc((self.name, direction, reason), delta)
+                    done.drops[reason] = count
+
+
 class Link:
     """A bidirectional link between two nodes.
 
@@ -86,6 +156,11 @@ class Link:
     breaks ties in scheduling order).  Impairment pipelines may drop,
     delay (reordering), or duplicate packets per direction; the TCP
     stack's retransmission and in-order delivery logic covers the rest.
+
+    Forwarding updates only the per-direction ledger (:attr:`stats`);
+    when a metrics registry is installed at construction, the
+    ``link_*_total`` counters are folded from that ledger whenever the
+    registry is read.
     """
 
     def __init__(
@@ -120,37 +195,10 @@ class Link:
         self._paths: Dict[str, Optional[ImpairedPath]] = {
             direction: None for direction in DIRECTIONS
         }
-        # Resolved once at construction: None when observability is off,
-        # so transmit() pays a single attribute check per packet.
         obs = active_or_none()
-        self._obs = obs
         if obs is not None:
-            self.obs_name = f"{a.name}<->{b.name}"
-            self._m_offered = obs.counter(
-                "link_packets_offered_total",
-                "Transmission attempts entering a link direction",
-                ("link", "direction"),
-            )
-            self._m_carried = obs.counter(
-                "link_packets_carried_total",
-                "Delivered copies (duplicates included) per link direction",
-                ("link", "direction"),
-            )
-            self._m_dropped = obs.counter(
-                "link_packets_dropped_total",
-                "Drops per link direction, labeled by the impairment that "
-                "dropped (or legacy_loss for the flat loss knob)",
-                ("link", "direction", "reason"),
-            )
-            self._m_duplicated = obs.counter(
-                "link_packets_duplicated_total",
-                "Extra delivered copies per link direction",
-                ("link", "direction"),
-            )
-            self._m_bytes = obs.counter(
-                "link_bytes_carried_total",
-                "Bytes delivered per link direction (duplicates included)",
-                ("link", "direction"),
+            obs.on_flush(
+                _LedgerFold(f"{a.name}<->{b.name}", self.stats, obs), weak=False
             )
 
     # -- impairment configuration -------------------------------------------
@@ -211,45 +259,30 @@ class Link:
     # -- transmission ---------------------------------------------------------
 
     def transmit(self, size: int, now: float, direction: str) -> PacketFate:
-        """Rule on one packet entering the link; update accounting.
+        """Rule on one packet entering the link; update the ledger.
 
         Returns the packet's fate: empty delays = dropped, otherwise one
         extra delay per delivered copy (on top of ``latency``).
         """
         stats = self.stats[direction]
         stats.packets_offered += 1
-        obs = self._obs
-        if obs is not None:
-            self._m_offered.inc((self.obs_name, direction))
         if self.loss and self._rng[direction].random() < self.loss:
-            stats.packets_lost += 1
-            if obs is not None:
-                self._m_dropped.inc((self.obs_name, direction, "legacy_loss"))
+            stats.drop("legacy_loss")
             return DROPPED
         path = self._paths[direction]
         if path is None:
             stats.packets_carried += 1
             stats.bytes_carried += size
-            if obs is not None:
-                self._m_carried.inc((self.obs_name, direction))
-                self._m_bytes.inc((self.obs_name, direction), size)
             return DELIVER_CLEAN
         fate = path.traverse(size, now)
-        if fate.dropped:
-            stats.packets_lost += 1
-            if obs is not None:
-                reason = path.last_drop_reason or "impairment"
-                self._m_dropped.inc((self.obs_name, direction, reason))
+        copies = len(fate.delays)
+        if not copies:
+            stats.drop(path.last_drop_reason or "impairment")
             return fate
-        copies = fate.copies
         stats.packets_carried += copies
-        stats.packets_duplicated += copies - 1
         stats.bytes_carried += size * copies
-        if obs is not None:
-            self._m_carried.inc((self.obs_name, direction), copies)
-            if copies > 1:
-                self._m_duplicated.inc((self.obs_name, direction), copies - 1)
-            self._m_bytes.inc((self.obs_name, direction), size * copies)
+        if copies > 1:
+            stats.packets_duplicated += copies - 1
         return fate
 
     def account_flow(self, packets: int, size: int, direction: str) -> None:
@@ -266,21 +299,6 @@ class Link:
         stats.packets_offered += packets
         stats.packets_carried += packets
         stats.bytes_carried += size
-        if self._obs is not None:
-            self._m_offered.inc((self.obs_name, direction), packets)
-            self._m_carried.inc((self.obs_name, direction), packets)
-            self._m_bytes.inc((self.obs_name, direction), size)
-
-    def account(self, size: int, direction: str = "ab") -> None:
-        """Record an externally-decided delivery (legacy hook)."""
-        stats = self.stats[direction]
-        stats.packets_offered += 1
-        stats.packets_carried += 1
-        stats.bytes_carried += size
-        if self._obs is not None:
-            self._m_offered.inc((self.obs_name, direction))
-            self._m_carried.inc((self.obs_name, direction))
-            self._m_bytes.inc((self.obs_name, direction), size)
 
     # -- aggregate accounting (both directions) ------------------------------
 

@@ -5,6 +5,11 @@ construction.  Forwarding applies, at every transit node: SAV (routers),
 TTL decrement with ICMP time-exceeded (routers), then each attached tap in
 order — the same pipeline a packet crosses on the paper's OVS switch with
 its censor and MVR Snort instances.
+
+Each node's hop cache (``_hops``) is filled lazily from the next-hop
+tables and dropped on every rebuild; a packet's wire size is computed at
+its first hop and carried along, except past taps, which may rewrite it
+(docs/ARCHITECTURE.md, "Forwarding fast path").
 """
 
 from __future__ import annotations
@@ -187,6 +192,8 @@ class Network:
                     table[neighbor] = first_hop[neighbor]
                     queue.append(neighbor)
             self._next_hop[source_name] = table
+        for node in self.nodes.values():
+            node._hops = {}
         self._routes_dirty = False
         self._tap_path_cache.clear()
 
@@ -244,31 +251,45 @@ class Network:
             self._build_routes()
         self.sim.at_uncancellable(delay, lambda: self._forward_from(packet, at))
 
-    def _forward_from(self, packet: IPPacket, node: Node) -> None:
-        """Send ``packet`` one hop from ``node`` toward its destination."""
-        owner = self.owner_of(packet.dst)
+    def _forward_from(
+        self, packet: IPPacket, node: Node, size: Optional[int] = None
+    ) -> None:
+        """Send ``packet`` one hop from ``node`` toward its destination.
+
+        ``size`` is the packet's wire length when the caller already knows
+        it (carried from the previous hop); ``None`` recomputes it.
+        """
+        if self._routes_dirty:
+            # A connect()/add() since this packet was sent: forward it
+            # over the rebuilt tables, never through a stale hop.
+            self._build_routes()
+        owner = self._ip_owner.get(packet.dst) or self.owner_of(packet.dst)
         if owner is None:
             self.dropped_no_route += 1
             return
         if owner is node:
             owner.deliver(packet)
             return
-        hop_name = self._next_hop[node.name].get(owner.name)
-        if hop_name is None:
-            self.dropped_no_route += 1
+        hop = node._hops.get(owner.name)
+        if hop is None:
+            hop = self._resolve_hop(node, owner.name)
+            if hop is None:
+                self.dropped_no_route += 1
+                return
+        link, direction, next_node = hop
+        if size is None:
+            size = packet.wire_length()
+        # Called through the class attribute at call time (never a bound
+        # method cached in the hop), so wrappers installed on
+        # ``Link.transmit`` see every hop.
+        delays = link.transmit(size, self.sim.now, direction).delays
+        if not delays:
             return
-        link = self._find_link(node.name, hop_name)
-        fate = link.transmit(
-            packet.wire_length(), self.sim.now, link.direction_from(node)
-        )
-        if fate.dropped:
-            return
-        next_node = self.nodes[hop_name]
-        delays = fate.delays
+        latency = link.latency
         # Hop events are fire-and-forget (nothing ever cancels an in-flight
         # packet), so the uncancellable fast path skips Timer allocation.
         self.sim.at_uncancellable(
-            link.latency + delays[0], lambda: self._arrive(packet, next_node)
+            latency + delays[0], lambda: self._arrive(packet, next_node, size)
         )
         for extra in delays[1:]:
             # Duplicate copies get their own packet object: downstream
@@ -276,9 +297,21 @@ class Network:
             duplicate = packet.copy()
             duplicate.metadata.update(packet.metadata)
             self.sim.at_uncancellable(
-                link.latency + extra,
-                lambda p=duplicate: self._arrive(p, next_node),
+                latency + extra,
+                lambda p=duplicate: self._arrive(p, next_node, size),
             )
+
+    def _resolve_hop(
+        self, node: Node, owner_name: str
+    ) -> Optional[Tuple[Link, str, Node]]:
+        """Fill ``node``'s hop-cache entry toward ``owner_name`` (None: no route)."""
+        hop_name = self._next_hop[node.name].get(owner_name)
+        if hop_name is None:
+            return None
+        link = self._find_link(node.name, hop_name)
+        hop = (link, link.direction_from(node), self.nodes[hop_name])
+        node._hops[owner_name] = hop
+        return hop
 
     def _find_link(self, a_name: str, b_name: str) -> Link:
         for link in self._adjacency[a_name]:
@@ -286,15 +319,15 @@ class Network:
                 return link
         raise RuntimeError(f"no link between {a_name} and {b_name}")
 
-    def _arrive(self, packet: IPPacket, node: Node) -> None:
+    def _arrive(self, packet: IPPacket, node: Node, size: Optional[int] = None) -> None:
         """Process a packet arriving at ``node`` and keep forwarding it."""
         node.packets_seen += 1
-        if isinstance(node, Host):
+        if node.is_host:
             node.deliver(packet)
             return
 
         # Routers: source-address validation, then TTL handling.
-        if getattr(node, "decrements_ttl", False):
+        if node.decrements_ttl:
             if not node.sav_permits(packet):  # type: ignore[attr-defined]
                 node.sav_drops += 1  # type: ignore[attr-defined]
                 node.packets_dropped += 1
@@ -309,19 +342,22 @@ class Network:
 
         # Taps, in attachment order (censor before/after MVR is topology
         # configuration, matching the paper's two Snort instances).
-        ctx = TapContext(self, node, self.sim.now)
-        for tap in node.taps:
-            if (
-                packet.metadata.get("injected_by") == getattr(tap, "name", None)
-                and not tap.sees_own_injections()
-            ):
-                continue
-            action = tap.process(packet, ctx)
-            if action is Action.DROP:
-                node.packets_dropped += 1
-                return
+        taps = node.taps
+        if taps:
+            ctx = TapContext(self, node, self.sim.now)
+            for tap in taps:
+                if (
+                    packet.metadata.get("injected_by") == getattr(tap, "name", None)
+                    and not tap.sees_own_injections()
+                ):
+                    continue
+                action = tap.process(packet, ctx)
+                if action is Action.DROP:
+                    node.packets_dropped += 1
+                    return
+            size = None  # a tap may have rewritten the packet
 
-        self._forward_from(packet, node)
+        self._forward_from(packet, node, size)
 
     def _emit_time_exceeded(self, packet: IPPacket, node: Node) -> None:
         from ..packets import ICMPMessage

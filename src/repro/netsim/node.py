@@ -20,9 +20,15 @@ __all__ = ["Node", "Host", "Switch", "Router"]
 
 
 class Node:
-    """Base network element; identified by a unique name."""
+    """Base network element; identified by a unique name.
+
+    ``is_host`` and ``decrements_ttl`` are class-level flags the
+    forwarding path reads per hop instead of type checks.
+    """
 
     forwards = False
+    is_host = False
+    decrements_ttl = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -54,7 +60,6 @@ class Switch(Node):
     """A transparent L2-style forwarder (no TTL decrement)."""
 
     forwards = True
-    decrements_ttl = False
 
 
 class Router(Node):
@@ -103,6 +108,7 @@ class Host(Node):
     """
 
     forwards = False
+    is_host = True
 
     def __init__(self, name: str, ip: str, spoof_scope: Optional[int] = None) -> None:
         super().__init__(name)

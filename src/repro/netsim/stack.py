@@ -583,8 +583,9 @@ class NetworkStack:
 
     def handle(self, packet: IPPacket) -> None:
         """Entry point for every packet delivered to this host."""
-        for sniffer in list(self._sniffers):
-            sniffer(packet)
+        if self._sniffers:
+            for sniffer in list(self._sniffers):
+                sniffer(packet)
         if packet.dst != self.host.ip:
             return  # promiscuously sniffed but not ours
         if packet.frag_offset > 0 or packet.flags & 0x1:

@@ -11,10 +11,12 @@ Design constraints, in order:
 1. **Zero overhead when off.**  Instrumented constructors resolve their
    recorder once via :func:`active_or_none`; when no registry is
    installed they store ``None`` and every hot path pays exactly one
-   ``if self._obs is not None`` check.  :class:`NullRecorder` exists for
-   call sites that want unconditional instrument handles — all of its
-   instruments are shared no-op singletons, and the recorder itself is
-   falsy.
+   ``if self._obs is not None`` check; components that already keep a
+   ledger (links) pay nothing even when on, because a flush hook folds
+   the ledger into the registry at read time.  :class:`NullRecorder`
+   exists for call sites that want unconditional instrument handles —
+   all of its instruments are shared no-op singletons, and the recorder
+   itself is falsy.
 2. **Determinism.**  Snapshots order instruments and label tuples by
    sorted name, never by hash or insertion accident, so two same-seed
    runs produce byte-identical exports (the property the trace/metrics
@@ -29,7 +31,7 @@ from __future__ import annotations
 import threading
 import weakref
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -286,10 +288,10 @@ class MetricsRegistry:
     def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
         self._instruments: Dict[str, _Instrument] = {}
-        #: weak refs to bound methods that fold batched deltas in before
-        #: any read (components that batch hot-path increments register
-        #: here so reported values stay exact)
-        self._flush_hooks: List[weakref.WeakMethod] = []
+        #: refs (weak, or strong for ``weak=False``) to hooks that fold
+        #: batched deltas in before any read (components that batch
+        #: hot-path increments register here so reported values stay exact)
+        self._flush_hooks: List[Callable[[], Optional[Callable[[], None]]]] = []
         self._flushing = False
 
     def __bool__(self) -> bool:  # a real registry is truthy; NULL is not
@@ -297,18 +299,25 @@ class MetricsRegistry:
 
     # -- batched-instrumentation flush hooks ----------------------------------
 
-    def on_flush(self, hook) -> None:
-        """Register a bound method to run before reads (held weakly).
+    def on_flush(self, hook, weak: bool = True) -> None:
+        """Register a hook to run before reads.
 
         Components that accumulate hot-path deltas locally (the rule
-        engine, the surveillance tap) register their fold-in method here;
-        :meth:`flush_pending` runs at the top of :meth:`get`,
+        engine, the surveillance tap, link ledgers) register their fold-in
+        here; :meth:`flush_pending` runs at the top of :meth:`get`,
         :meth:`snapshot`, :meth:`render_text`, and :meth:`clear`, so every
         observable value is exact at read time no matter where a batch
-        boundary fell.  Hooks run in registration order (deterministic)
-        and die with their owner — no unregistration needed.
+        boundary fell.  Hooks run in registration order (deterministic).
+
+        By default ``hook`` is a bound method held weakly: it dies with
+        its owner — no unregistration needed.  ``weak=False`` holds any
+        callable strongly, for a small folder that owns only the numbers
+        it folds, so those numbers are still reported after their
+        producer has been garbage-collected.
         """
-        self._flush_hooks.append(weakref.WeakMethod(hook))
+        self._flush_hooks.append(
+            weakref.WeakMethod(hook) if weak else (lambda: hook)
+        )
 
     def flush_pending(self) -> None:
         """Run every live flush hook once (reentrancy-safe)."""
@@ -603,7 +612,7 @@ class NullRecorder:
     def get(self, name: str) -> None:
         return None
 
-    def on_flush(self, hook) -> None:
+    def on_flush(self, hook, weak: bool = True) -> None:
         pass
 
     def flush_pending(self) -> None:

@@ -33,6 +33,9 @@ from typing import Optional, Union
 
 from .addressing import int_to_ip_cached, ip_to_int_cached
 from .checksum import checksum_from_sum, fold_sum, raw_sum
+from .icmp import ICMPMessage
+from .tcp import TCPSegment
+from .udp import UDPDatagram
 
 __all__ = ["IPPacket", "PROTO_ICMP", "PROTO_TCP", "PROTO_UDP", "IP_HEADER_LEN"]
 
@@ -44,23 +47,6 @@ IP_HEADER_LEN = 20
 DEFAULT_TTL = 64
 
 _oset = object.__setattr__
-
-# The transport classes are imported lazily (ip.py loads before them in the
-# package) but cached after the first lookup: re-running ``from .tcp import
-# TCPSegment`` on every ``packet.tcp`` access dominated the rule-engine
-# profile before this cache existed.
-_TRANSPORT_CLASSES = None
-
-
-def _transport_classes():
-    global _TRANSPORT_CLASSES
-    if _TRANSPORT_CLASSES is None:
-        from .icmp import ICMPMessage
-        from .tcp import TCPSegment
-        from .udp import UDPDatagram
-
-        _TRANSPORT_CLASSES = (TCPSegment, UDPDatagram, ICMPMessage)
-    return _TRANSPORT_CLASSES
 
 
 @dataclass(init=False, slots=True)
@@ -133,8 +119,6 @@ class IPPacket:
         _oset(self, "_seed", None)
 
     def _infer_protocol(self) -> int:
-        TCPSegment, UDPDatagram, ICMPMessage = _transport_classes()
-
         if isinstance(self.payload, TCPSegment):
             return PROTO_TCP
         if isinstance(self.payload, UDPDatagram):
@@ -247,8 +231,6 @@ class IPPacket:
         ihl = (ver_ihl & 0xF) * 4
         body = data[ihl:total_len]
         payload: Union[object, bytes]
-        TCPSegment, UDPDatagram, ICMPMessage = _transport_classes()
-
         if protocol == PROTO_TCP:
             payload = TCPSegment.from_bytes(body)
         elif protocol == PROTO_UDP:
@@ -301,20 +283,26 @@ class IPPacket:
 
     # -- convenience -------------------------------------------------------
 
+    # The transport classes have no subclasses, so an exact type test is
+    # equivalent to isinstance and cheaper on the per-packet dispatch.
+
     @property
     def tcp(self):
         """The TCP payload, or None."""
-        return self.payload if isinstance(self.payload, _transport_classes()[0]) else None
+        payload = self.payload
+        return payload if type(payload) is TCPSegment else None
 
     @property
     def udp(self):
         """The UDP payload, or None."""
-        return self.payload if isinstance(self.payload, _transport_classes()[1]) else None
+        payload = self.payload
+        return payload if type(payload) is UDPDatagram else None
 
     @property
     def icmp(self):
         """The ICMP payload, or None."""
-        return self.payload if isinstance(self.payload, _transport_classes()[2]) else None
+        payload = self.payload
+        return payload if type(payload) is ICMPMessage else None
 
     def copy(self) -> "IPPacket":
         """Structural copy sharing the cached wire image.

@@ -7,9 +7,9 @@ evidence rather than decoration:
    metrics report of two identical instrumented runs must match byte for
    byte — any hash-ordering or wall-clock leak breaks this immediately.
 2. **Conservation cross-check.**  The registry's per-link counters are
-   recorded on a completely separate path from ``DirectionStats`` (the
-   counters inside ``Link.transmit``).  On an impaired 1000-port scan
-   they must agree exactly, direction by direction, drop for drop.
+   folded from the ``DirectionStats`` ledger when the registry is read
+   (``Link.transmit`` touches only the ledger).  On an impaired 1000-port
+   scan they must agree exactly, direction by direction, drop for drop.
 """
 
 from repro.analysis import run_report
