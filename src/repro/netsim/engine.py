@@ -145,6 +145,13 @@ class Simulator:
         self._events_processed += processed
         return processed
 
+    def teardown(self) -> None:
+        """Drop every pending event.  Their callbacks close over the world
+        that scheduled them, so a finished run's queue keeps that world in
+        a reference cycle; see :meth:`Network.teardown`."""
+        self._queue.clear()
+        self._dead = 0
+
     def run_for(self, duration: float) -> int:
         """Advance simulated time by ``duration`` seconds."""
         return self.run(until=self.now + duration)

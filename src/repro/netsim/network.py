@@ -68,6 +68,31 @@ class Network:
         #: route rebuilds and tap attachment.
         self._tap_path_cache: Dict[Tuple[str, str], bool] = {}
 
+    def teardown(self) -> None:
+        """Break a finished simulation's reference cycles.
+
+        Nodes, links, protocol stacks, taps and pending events all point
+        back at one another, so a finished world is cyclic garbage that
+        only a full collector pass frees.  After this call refcounting
+        frees it as soon as its last outside holder lets go.  The network,
+        its nodes and its simulator cannot be used afterwards.
+        """
+        self.sim.teardown()
+        for node in self.nodes.values():
+            node.network = None
+            node.taps = []
+            node._hops = {}
+            if node.is_host:
+                node.stack = None
+        self.nodes.clear()
+        self.links.clear()
+        self._adjacency.clear()
+        self._ip_owner.clear()
+        self._next_hop.clear()
+        self._prefix_routes.clear()
+        self._prefix_cache.clear()
+        self._tap_path_cache.clear()
+
     # -- topology construction ----------------------------------------------
 
     def add(self, node: Node) -> Node:

@@ -358,6 +358,14 @@ class RuleEngine:
             anchor_check = self.prefilter == "anchor"
         passed = False
         matches: List[Alert] = []
+        # Stream fast path (indexed engines only, so use_index=False stays
+        # the memo-free reference): memoised payload options and the
+        # skip of sids this flow already alerted on.
+        memo = None
+        alerted = _EMPTY_IDS
+        if update is not None and candidates and self._index is not None:
+            memo = self._payload_memo(update)
+            alerted = update.flow.alerted_sids
         for rule in candidates:
             if not self._header_matches(rule, packet, ctx):
                 continue
@@ -369,7 +377,16 @@ class RuleEngine:
                     if needle not in hay:
                         prefilter_skips += 1
                         continue  # a necessary literal is absent
-            if not self._options_match(rule, packet, update, ctx):
+            if (
+                rule.sid in alerted
+                and rule.threshold is None
+                and rule.action != "pass"
+                and rule.needs_payload()
+            ):
+                # A stream rule fires once per flow per sid and this one
+                # already has: whatever its options say, it cannot alert.
+                continue
+            if not self._options_match(rule, packet, update, ctx, memo):
                 continue
             if rule.action == "pass":
                 # pass rules defeat all later rules for this packet
@@ -468,6 +485,21 @@ class RuleEngine:
             state.scanned = length
         return state.present
 
+    @staticmethod
+    def _payload_memo(update: StreamUpdate) -> Dict[int, bool]:
+        """The flow direction's memo of payload-option results, keyed by
+        ``id(rule)``.  Those results depend only on the reassembled bytes,
+        so the memo lives while ``(content_version, len(buffer))`` does and
+        is replaced as soon as the stream grows or is rewritten."""
+        flow = update.flow
+        direction = update.direction
+        length = len(flow.buffers[direction])
+        entry = flow.payload_memo.get(direction)
+        if entry is None or entry[0] != flow.content_version or entry[1] != length:
+            entry = (flow.content_version, length, {})
+            flow.payload_memo[direction] = entry
+        return entry[2]
+
     def flush_obs(self) -> None:
         """Fold pending instrumentation deltas into the registry (exact)."""
         pend = self._pend
@@ -551,6 +583,7 @@ class RuleEngine:
         packet: IPPacket,
         update: Optional[StreamUpdate],
         ctx: MatchContext,
+        memo: Optional[Dict[int, bool]],
     ) -> bool:
         if rule.flags is not None:
             if ctx.tcp is None or not rule.flags.matches(ctx.tcp.flags):
@@ -570,19 +603,29 @@ class RuleEngine:
                 return False
 
         if rule.needs_payload():
-            # Match against the reassembled stream so keywords split
-            # across segments are still seen (and evasion by splitting
-            # is defeated, as with the real GFC).
-            haystack = ctx.haystack
-            if not haystack:
+            if memo is None:
+                return self._payload_matches(rule, ctx)
+            matched = memo.get(id(rule))
+            if matched is None:
+                matched = memo[id(rule)] = self._payload_matches(rule, ctx)
+            return matched
+        return True
+
+    @staticmethod
+    def _payload_matches(rule: Rule, ctx: MatchContext) -> bool:
+        # Match against the reassembled stream so keywords split across
+        # segments are still seen (and evasion by splitting is defeated,
+        # as with the real GFC).
+        haystack = ctx.haystack
+        if not haystack:
+            return False
+        for content in rule.contents:
+            hay = ctx.lower_haystack if content.nocase else haystack
+            if not content.search_in(hay):
                 return False
-            for content in rule.contents:
-                hay = ctx.lower_haystack if content.nocase else haystack
-                if not content.search_in(hay):
-                    return False
-            for pcre in rule.pcres:
-                if not pcre.matches(haystack):
-                    return False
+        for pcre in rule.pcres:
+            if not pcre.matches(haystack):
+                return False
         return True
 
     def _flow_matches(

@@ -206,9 +206,10 @@ class RuleDispatchIndex:
         #: table consulted for protocols other than tcp/udp/icmp — only
         #: ``ip`` rules can match those packets
         self._other = _ProtoTable()
-        #: (protocol, dport, sport) -> CompiledBucket memo for the dynamic
-        #: sport-merge path (bidirectional rules); cleared on add()
-        self._dynamic: Dict[Tuple[int, int, int], CompiledBucket] = {}
+        #: (protocol, dport or None, sport) -> CompiledBucket memo for the
+        #: dynamic sport-merge path (bidirectional rules); dport is None
+        #: when it has no enumerated bucket.  Cleared on add()
+        self._dynamic: Dict[Tuple[int, Optional[int], int], CompiledBucket] = {}
         self._size = 0
         if rules:
             self.add(rules)
@@ -258,10 +259,14 @@ class RuleDispatchIndex:
             if bucket is not None:
                 return bucket
             return table.catch_all_compiled
-        key = (protocol, dport, sport)
+        # A dport without an enumerated bucket (a reply to an ephemeral
+        # port) contributes nothing, so all of them share one memo entry
+        # per sport: the memo stays bounded by the enumerated ports.
+        port_rules = table.port_rules.get(dport)
+        key = (protocol, dport if port_rules else None, sport)
         bucket = self._dynamic.get(key)
         if bucket is None:
-            parts = table.catch_all + table.port_rules.get(dport, []) + extra
+            parts = table.catch_all + (port_rules or []) + extra
             seen = set()
             ordered = []
             for order, rule in sorted(parts):

@@ -32,7 +32,9 @@ Design:
   rewrite it, which bumps the flow's ``content_version`` and forces a
   rescan).  :meth:`MultiPatternAutomaton.scan_chunk` resumes from a saved
   DFA state, so each stream byte is scanned once per flow lifetime instead
-  of once per packet.
+  of once per packet.  Over a long unscanned tail the walk skips ahead
+  whenever the DFA is in state 0, so bytes that cannot start a literal
+  cost C-speed work (``translate`` + ``find``) instead of a bytecode loop.
 
 - **Adaptive one-shot scans.**  For datagram payloads the DFA walk is a
   per-byte Python loop; above ``ONE_SHOT_DFA_LIMIT`` bytes it is cheaper
@@ -68,7 +70,9 @@ __all__ = [
 #: One-shot haystacks longer than this are scanned with one C-speed ``in``
 #: per unique folded pattern instead of the per-byte DFA walk (the DFA is
 #: O(n) in Python bytecode; ``in`` is O(n) in C — the constant factors
-#: cross over around a few hundred bytes for ruleset-sized literal tables).
+#: cross over around a hundred bytes for ruleset-sized literal tables).
+#: Stream scans cannot restart, so a longer unscanned tail uses the
+#: root-skipping DFA walk instead.
 ONE_SHOT_DFA_LIMIT = 256
 
 # -- global literal interning --------------------------------------------------
@@ -209,6 +213,20 @@ def clear_automaton_cache() -> int:
 # -- the automaton -------------------------------------------------------------
 
 
+def _report(groups: tuple, haystack: bytes, position: int, present: set) -> None:
+    """Add the literal ids of the output ``groups`` that end just before
+    ``position`` to ``present``, confirming case-sensitive members against
+    the raw haystack."""
+    for length, members in groups:
+        for lid, needle, confirm in members:
+            if lid in present:
+                continue
+            if not confirm:
+                present.add(lid)
+            elif haystack[position - length : position] == needle:
+                present.add(lid)
+
+
 class StreamScanState:
     """Per-flow-direction resumable scan position.
 
@@ -249,6 +267,9 @@ class MultiPatternAutomaton:
         self._next: List[List[int]] = []
         #: per-state tuple of (folded_len, members) output groups, () if none
         self._out: List[tuple] = []
+        #: ``bytes.translate`` table marking the bytes that leave the root
+        #: with 1 and every other byte with 0, rebuilt by _finalize()
+        self._root_marks = bytes(256)
         self._dirty = True
         self.version = 0
         #: every interned id this automaton contains
@@ -356,6 +377,9 @@ class MultiPatternAutomaton:
 
         self._next = table
         self._out = [tuple(groups) for groups in out]
+        # In state 0 every byte but these maps back to 0 and the root has
+        # no outputs, so the walk may jump straight to the next of them.
+        self._root_marks = bytes(1 if child else 0 for child in base)
         self._dirty = False
         self.version += 1
 
@@ -412,11 +436,14 @@ class MultiPatternAutomaton:
             self._finalize()
         if not self._groups:
             return state
+        if len(lowered) - start > ONE_SHOT_DFA_LIMIT:
+            return self._skip_walk(lowered, haystack, start, state, present)
         return self._walk(lowered, haystack, start, state, present)
 
     def _walk(
         self, lowered: bytes, haystack: bytes, start: int, state: int, present: set
     ) -> int:
+        """Step the DFA over ``lowered[start:]`` one byte at a time."""
         table = self._next
         out = self._out
         position = start
@@ -425,14 +452,35 @@ class MultiPatternAutomaton:
             position += 1
             groups = out[state]
             if groups:
-                for length, members in groups:
-                    for lid, needle, confirm in members:
-                        if lid in present:
-                            continue
-                        if not confirm:
-                            present.add(lid)
-                        elif haystack[position - length : position] == needle:
-                            present.add(lid)
+                _report(groups, haystack, position, present)
+        return state
+
+    def _skip_walk(
+        self, lowered: bytes, haystack: bytes, start: int, state: int, present: set
+    ) -> int:
+        """:meth:`_walk`, but in state 0 jump to the next root-leaving byte.
+
+        Exact, because in state 0 every other byte maps back to 0 and the
+        root has no outputs.  The tail is marked once with one C-speed
+        ``translate`` and each jump is one ``find`` of a mark; the per-call
+        set-up makes short tails cheaper to :meth:`_walk`.
+        """
+        table = self._next
+        out = self._out
+        find = lowered[start:].translate(self._root_marks).find
+        position = start
+        end = len(lowered)
+        while position < end:
+            if not state:
+                position = find(1, position - start)
+                if position < 0:
+                    return 0
+                position += start
+            state = table[state][lowered[position]]
+            position += 1
+            groups = out[state]
+            if groups:
+                _report(groups, haystack, position, present)
         return state
 
     # -- reference implementation (tests cross-check against this) -------------

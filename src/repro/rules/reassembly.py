@@ -49,6 +49,9 @@ class FlowRecord:
     content_version: int = 0
     #: per-direction resumable multipattern scan state (engine-owned)
     mp_states: Dict[str, object] = field(default_factory=dict, repr=False, compare=False)
+    #: direction -> (content_version, length, {id(rule): payload matched}),
+    #: the engine's memo of payload-option results for unchanged streams
+    payload_memo: Dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
     #: plain-tuple key into the reassembler's fast flow table
     _tkey: Optional[tuple] = field(default=None, repr=False, compare=False)
     #: direction -> (content_version, length, bytes, lowered-or-None)
@@ -231,7 +234,8 @@ class StreamReassembler:
         buffer[offset : offset + len(data)] = data
         # A sid that alerted on the old bytes may now face different
         # content; allow re-evaluation of stream rules on this flow, and
-        # invalidate cached snapshots / saved multipattern scan states.
+        # invalidate cached snapshots, saved multipattern scan states and
+        # payload-option memos.
         flow.alerted_sids.clear()
         flow.content_version += 1
 

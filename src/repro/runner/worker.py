@@ -108,7 +108,7 @@ def _run_three_node(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, o
     # No censor and no MVR anywhere in this topology: censor="none",
     # evasion not applicable.
     rows = _record_rows(point, results, registry, censor="none", evaded=None)
-    return {
+    payload = {
         "results": results,
         "verdicts": summarize(technique.results),
         "technique_done": technique.done,
@@ -117,6 +117,8 @@ def _run_three_node(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, o
             registry=registry, sim=topo.sim, links=topo.network.links
         ),
     }
+    topo.network.teardown()
+    return payload
 
 
 def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, object]:
@@ -160,7 +162,7 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
             env.population.bytes_total() if env.population is not None else 0
         ),
     )
-    return {
+    payload = {
         "results": results,
         "verdicts": summarize(technique.results),
         "technique_done": technique.done,
@@ -178,6 +180,8 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
             surveillance=env.surveillance,
         ),
     }
+    env.topo.network.teardown()
+    return payload
 
 
 def run_point(point_data: Mapping[str, object], in_process: bool = False) -> Dict[str, object]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..netsim.flows import FIDELITY_MODES, AggregateFlow, FlowFidelityEngine
 from ..netsim.impairment import mix_seed
@@ -87,14 +87,27 @@ def _chunks(total: int, chunk: int = _MSS) -> Iterator[int]:
         yield total
 
 
+#: ``_TICKS[n]`` is ``_TICK`` added ``n`` times to 0.0: the exact float a
+#: script's repeated ``t += _TICK`` reaches after ``n`` packets.
+_TICKS = [0.0]
+
+
+def _tick_offset(count: int) -> float:
+    ticks = _TICKS
+    while len(ticks) <= count:
+        ticks.append(ticks[-1] + _TICK)
+    return ticks[count]
+
+
 class _FlowTemplate:
     """Shared plan/materialize machinery for one workload's flows.
 
     Subclasses implement :meth:`script`, the single source of truth for a
-    flow's packets: both the flow-level plan (byte/packet totals) and the
-    packet-level materialization iterate the same script, so the two
-    tiers cannot drift apart — and ``FlowFidelityEngine._expand`` asserts
-    they haven't.
+    flow's packets: the packet-level materialization iterates it, and the
+    flow-level plan (byte/packet totals) either walks it too or, for TCP
+    templates, sums the same turns arithmetically — so the two tiers
+    cannot drift apart, and ``FlowFidelityEngine._expand`` asserts they
+    haven't.
     """
 
     kind = ""
@@ -160,9 +173,10 @@ class _FlowTemplate:
 
 
 def _tcp_conversation(
-    turns: Iterator[Tuple[int, bytes]]
+    turns: Iterator[Tuple[int, Union[bytes, int]]], fill: bytes
 ) -> Iterator[Tuple[float, int, bytes, int]]:
-    """Wrap (side, payload) turns in a SYN/FIN envelope with fixed pacing."""
+    """Wrap (side, payload) turns in a SYN/FIN envelope with fixed pacing;
+    an ``int`` payload is a run of that many ``fill`` bytes in MSS chunks."""
     t = 0.0
     yield t, 0, b"", SYN
     t += _TICK
@@ -170,8 +184,13 @@ def _tcp_conversation(
     t += _TICK
     yield t, 0, b"", ACK
     for side, payload in turns:
-        t += _TICK
-        yield t, side, payload, PSH | ACK
+        if type(payload) is int:
+            for size in _chunks(payload):
+                t += _TICK
+                yield t, side, fill * size, PSH | ACK
+        else:
+            t += _TICK
+            yield t, side, payload, PSH | ACK
     t += _TICK
     yield t, 0, b"", FIN | ACK
     t += _TICK
@@ -180,7 +199,42 @@ def _tcp_conversation(
     yield t, 0, b"", ACK
 
 
-class _WebTemplate(_FlowTemplate):
+class _TCPTemplate(_FlowTemplate):
+    """A TCP conversation: :meth:`turns` inside the SYN/FIN envelope.
+
+    A turn is ``(side, payload)``; a payload that is an ``int`` is a filler
+    run of that many ``fill`` bytes.  :meth:`script` expands the runs into
+    MSS-sized segments for materialization, while :meth:`plan` sums the
+    same turns in O(turns) without allocating any filler.
+    """
+
+    #: the byte every filler run repeats
+    fill = b"\x00"
+
+    def turns(self, flow_id: int, params: Tuple) -> Iterator[Tuple[int, Union[bytes, int]]]:
+        raise NotImplementedError
+
+    def script(self, flow_id, params):
+        return _tcp_conversation(self.turns(flow_id, params), self.fill)
+
+    def plan(self, flow_id: int, params: Tuple) -> Tuple[int, int, int, int, float]:
+        # The envelope: SYN, ACK, FIN|ACK, ACK up; SYN|ACK, FIN|ACK down.
+        packets = [4, 2]
+        bytes_ = [4 * _TCP_OVERHEAD, 2 * _TCP_OVERHEAD]
+        for side, payload in self.turns(flow_id, params):
+            if type(payload) is int:
+                count = -(-payload // _MSS)
+                packets[side] += count
+                bytes_[side] += payload + _TCP_OVERHEAD * count
+            else:
+                packets[side] += 1
+                bytes_[side] += _TCP_OVERHEAD + len(payload)
+        # Every packet after the SYN is one tick later than the previous.
+        last = _tick_offset(packets[0] + packets[1] - 1)
+        return packets[0], bytes_[0], packets[1], bytes_[1], last + _TICK
+
+
+class _WebTemplate(_TCPTemplate):
     """One browsing page fetch: GET + segmented response.
 
     params = (host_header, page_bytes)
@@ -188,26 +242,19 @@ class _WebTemplate(_FlowTemplate):
 
     kind = "web"
     dport = 80
+    fill = b"\x20"
 
-    def script(self, flow_id, params):
+    def turns(self, flow_id, params):
         host, page_bytes = params
-
-        def turns():
-            yield 0, (
-                f"GET /page/{flow_id & 0xFFFF:05d} HTTP/1.1\r\n"
-                f"Host: {host}\r\nUser-Agent: population-sim\r\n\r\n"
-            ).encode()
-            header = (
-                f"HTTP/1.1 200 OK\r\nContent-Length: {page_bytes:08d}\r\n\r\n"
-            ).encode()
-            yield 1, header
-            for size in _chunks(page_bytes):
-                yield 1, b"\x20" * size
-
-        return _tcp_conversation(turns())
+        yield 0, (
+            f"GET /page/{flow_id & 0xFFFF:05d} HTTP/1.1\r\n"
+            f"Host: {host}\r\nUser-Agent: population-sim\r\n\r\n"
+        ).encode()
+        yield 1, f"HTTP/1.1 200 OK\r\nContent-Length: {page_bytes:08d}\r\n\r\n".encode()
+        yield 1, page_bytes
 
 
-class _VideoTemplate(_FlowTemplate):
+class _VideoTemplate(_TCPTemplate):
     """One video-segment batch fetch from the in-AS CDN.
 
     params = (host_header, segment_bytes, segment_count)
@@ -215,26 +262,22 @@ class _VideoTemplate(_FlowTemplate):
 
     kind = "video"
     dport = 80
+    fill = b"\x56"
 
-    def script(self, flow_id, params):
+    def turns(self, flow_id, params):
         host, segment_bytes, segment_count = params
-
-        def turns():
-            for index in range(segment_count):
-                yield 0, (
-                    f"GET /seg/{flow_id & 0xFFFFFF:08d}-{index:02d}.ts HTTP/1.1\r\n"
-                    f"Host: {host}\r\n\r\n"
-                ).encode()
-                yield 1, (
-                    f"HTTP/1.1 200 OK\r\nContent-Length: {segment_bytes:08d}\r\n\r\n"
-                ).encode()
-                for size in _chunks(segment_bytes):
-                    yield 1, b"\x56" * size
-
-        return _tcp_conversation(turns())
+        for index in range(segment_count):
+            yield 0, (
+                f"GET /seg/{flow_id & 0xFFFFFF:08d}-{index:02d}.ts HTTP/1.1\r\n"
+                f"Host: {host}\r\n\r\n"
+            ).encode()
+            yield 1, (
+                f"HTTP/1.1 200 OK\r\nContent-Length: {segment_bytes:08d}\r\n\r\n"
+            ).encode()
+            yield 1, segment_bytes
 
 
-class _SMTPTemplate(_FlowTemplate):
+class _SMTPTemplate(_TCPTemplate):
     """One outbound mail delivery: command/response turns + body.
 
     params = (helo_name, message_bytes)
@@ -242,28 +285,24 @@ class _SMTPTemplate(_FlowTemplate):
 
     kind = "smtp"
     dport = 25
+    fill = b"\x41"
 
-    def script(self, flow_id, params):
+    def turns(self, flow_id, params):
         helo, message_bytes = params
-
-        def turns():
-            yield 1, b"220 relay ESMTP ready\r\n"
-            yield 0, f"HELO {helo}\r\n".encode()
-            yield 1, b"250 relay\r\n"
-            yield 0, f"MAIL FROM:<user{flow_id & 0xFFFFF:06d}@{helo}>\r\n".encode()
-            yield 1, b"250 ok\r\n"
-            yield 0, b"RCPT TO:<inbox@example.net>\r\n"
-            yield 1, b"250 ok\r\n"
-            yield 0, b"DATA\r\n"
-            yield 1, b"354 go ahead\r\n"
-            for size in _chunks(message_bytes):
-                yield 0, b"\x41" * size
-            yield 0, b"\r\n.\r\n"
-            yield 1, b"250 queued\r\n"
-            yield 0, b"QUIT\r\n"
-            yield 1, b"221 bye\r\n"
-
-        return _tcp_conversation(turns())
+        yield 1, b"220 relay ESMTP ready\r\n"
+        yield 0, f"HELO {helo}\r\n".encode()
+        yield 1, b"250 relay\r\n"
+        yield 0, f"MAIL FROM:<user{flow_id & 0xFFFFF:06d}@{helo}>\r\n".encode()
+        yield 1, b"250 ok\r\n"
+        yield 0, b"RCPT TO:<inbox@example.net>\r\n"
+        yield 1, b"250 ok\r\n"
+        yield 0, b"DATA\r\n"
+        yield 1, b"354 go ahead\r\n"
+        yield 0, message_bytes
+        yield 0, b"\r\n.\r\n"
+        yield 1, b"250 queued\r\n"
+        yield 0, b"QUIT\r\n"
+        yield 1, b"221 bye\r\n"
 
 
 class _DNSTemplate(_FlowTemplate):
@@ -401,11 +440,13 @@ class PopulationTraffic:
             "video": _VideoTemplate(),
             "smtp": _SMTPTemplate(),
         }
+        # Plain functions, not bound methods: a dict of bound methods on
+        # the instance would be a reference cycle through ``self``.
         self._spawners = {
-            "web": self._spawn_web,
-            "dns": self._spawn_dns,
-            "video": self._spawn_video,
-            "smtp": self._spawn_smtp,
+            "web": PopulationTraffic._spawn_web,
+            "dns": PopulationTraffic._spawn_dns,
+            "video": PopulationTraffic._spawn_video,
+            "smtp": PopulationTraffic._spawn_smtp,
         }
         # One private RNG stream per workload, derived from the seed —
         # never from sim.rng, whose draw sequence existing workloads own.
@@ -455,7 +496,7 @@ class PopulationTraffic:
 
         def fire() -> None:
             if not self._stopped:
-                self._spawners[kind](rng)
+                self._spawners[kind](self, rng)
                 self._schedule_next(kind, total_rate, until)
 
         self.sim.at_uncancellable(delay, fire)

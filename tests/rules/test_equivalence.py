@@ -357,3 +357,145 @@ def test_equivalence_under_rule_addition():
         naive_alerts = naive.process(packet, when)
         assert [_alert_key(a) for a in fast_alerts] == [_alert_key(a) for a in naive_alerts]
     assert 920000 in {a.sid for a in fast.alerts}
+
+
+# -- stream fast path: payload memo and alerted-sid skip -----------------------
+
+#: Stream rules whose payload options the indexed engine memoises per flow
+#: direction, with a pcre-only rule (never literal-filtered), a negated
+#: content rule, a thresholded rule and a pass rule (both exempt from the
+#: alerted-sid skip).
+STREAM_RULES = "\n".join([
+    'alert tcp any any -> any 8080 (msg:"EQ stream pcre"; flow:to_server; pcre:"/se+cret/i"; sid:930001;)',
+    'alert tcp any any -> any 8080 (msg:"EQ stream token"; content:"token"; sid:930002;)',
+    'alert tcp any any -> any 8080 (msg:"EQ stream limited"; content:"GET"; '
+    'threshold: type limit, track by_src, count 2, seconds 60; sid:930003;)',
+    'pass tcp any any -> any 8080 (msg:"EQ stream pass"; content:"allowlisted"; sid:930004;)',
+    'alert tcp any any -> any 8080 (msg:"EQ stream negated"; content:!"benign"; sid:930005;)',
+    'alert tcp any 8080 -> any any (msg:"EQ stream reply"; content:"200 OK"; sid:930006;)',
+])
+
+_STREAM_CORPUS = (
+    b"GET /a HTTP/1.1 token seecret benign allowlisted GET /b SECRET "
+    b"HTTP/1.1 200 OK filler filler token GET "
+)
+
+
+def build_stream_trace(seed=2015, flows=8, steps=60):
+    """Flows to port 8080 mixing new data, pure ACKs (unchanged streams),
+    server replies, and same-length retransmissions with other bytes
+    (rewrites under overlap policy "last")."""
+    rng = random.Random(seed)
+    trace = []
+    now = 0.0
+    state = []
+    for i in range(flows):
+        client = f"10.3.0.{i + 1}"
+        cseq, sseq = _handshake(trace, now, client, "203.0.113.80", 41000 + i, 8080)
+        now += 0.05
+        state.append({"client": client, "sport": 41000 + i, "seq": cseq, "sseq": sseq,
+                      "last": None})
+    for _ in range(steps * flows):
+        now += 0.01
+        flow = rng.choice(state)
+        c, cp = flow["client"], flow["sport"]
+        shape = rng.random()
+        if shape < 0.35:
+            start = rng.randrange(len(_STREAM_CORPUS))
+            chunk = _STREAM_CORPUS[start : start + rng.randint(1, 24)]
+            trace.append((now, _tcp(c, "203.0.113.80", cp, 8080, PSH | ACK,
+                                    seq=flow["seq"], ack=flow["sseq"], payload=chunk)))
+            flow["last"] = (flow["seq"], len(chunk))
+            flow["seq"] += len(chunk)
+        elif shape < 0.70:
+            trace.append((now, _tcp(c, "203.0.113.80", cp, 8080, ACK,
+                                    seq=flow["seq"], ack=flow["sseq"])))
+        elif shape < 0.85:
+            reply = rng.choice([b"HTTP/1.1 200 OK\r\n", b"filler", b"200 O", b"K"])
+            trace.append((now, _tcp("203.0.113.80", c, 8080, cp, PSH | ACK,
+                                    seq=flow["sseq"], ack=flow["seq"], payload=reply)))
+            flow["sseq"] += len(reply)
+        elif flow["last"] is not None:
+            seq, length = flow["last"]
+            start = rng.randrange(len(_STREAM_CORPUS))
+            other = (_STREAM_CORPUS[start:] + _STREAM_CORPUS)[:length]
+            trace.append((now, _tcp(c, "203.0.113.80", cp, 8080, PSH | ACK,
+                                    seq=seq, ack=flow["sseq"], payload=other)))
+    return trace
+
+
+def _counting(engine, name):
+    """Wrap one engine method to count its calls."""
+    calls = [0]
+    method = getattr(engine, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    setattr(engine, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("overlap_policy", ["first", "last"])
+def test_stream_memo_and_alerted_skip_match_naive(overlap_policy):
+    fast = RuleEngine.from_text(STREAM_RULES, overlap_policy=overlap_policy)
+    naive = RuleEngine.from_text(STREAM_RULES, overlap_policy=overlap_policy,
+                                 use_index=False)
+    fast_payload = _counting(fast, "_payload_matches")
+    naive_payload = _counting(naive, "_payload_matches")
+    fast_options = _counting(fast, "_options_match")
+    naive_options = _counting(naive, "_options_match")
+    trace = build_stream_trace()
+    assert [_alert_key(a) for a in _run_single(fast, trace)] == \
+        [_alert_key(a) for a in _run_single(naive, trace)]
+    fired = {alert.sid for alert in naive.alerts}
+    assert {930001, 930002, 930003, 930005, 930006} <= fired
+    # Both shortcuts really engaged on the indexed engine.
+    assert fast_payload[0] < naive_payload[0] / 2
+    assert fast_options[0] < naive_options[0]
+
+
+def test_payload_memo_is_fenced_by_last_policy_rewrites():
+    """A same-length rewrite keeps the buffer length but bumps the flow's
+    content_version, so a memoised "no match" must not survive it."""
+    text = 'alert tcp any any -> any 8080 (msg:"evil"; pcre:"/evil/"; sid:930100;)'
+    engine = RuleEngine.from_text(text, overlap_policy="last")
+    payload_calls = _counting(engine, "_payload_matches")
+
+    def seg(flags, seq, payload=b""):
+        return _tcp("10.3.1.1", "203.0.113.80", 42000, 8080, flags, seq=seq,
+                    payload=payload)
+
+    assert engine.process(seg(PSH | ACK, 100, b"good"), 0.0) == []
+    assert payload_calls[0] == 1
+    assert engine.process(seg(ACK, 104), 0.1) == []
+    assert payload_calls[0] == 1  # unchanged stream: served from the memo
+    flow = next(iter(engine.reassembler.flows.values()))
+    version = flow.content_version
+    alerts = engine.process(seg(PSH | ACK, 100, b"evil"), 0.2)
+    assert flow.content_version == version + 1
+    assert [alert.sid for alert in alerts] == [930100]
+    assert payload_calls[0] == 2
+
+
+def test_pass_rule_sharing_an_alerted_sid_is_not_skipped():
+    """Only alert rules are skipped once their sid alerted on a flow; a
+    pass rule must still run and suppress the packet's later rules."""
+    first = 'alert tcp any any -> any 8080 (msg:"one"; content:"one"; sid:930200;)'
+    later = "\n".join([
+        'pass tcp any any -> any 8080 (msg:"pass two"; content:"two"; sid:930200;)',
+        'alert tcp any any -> any 8080 (msg:"two"; content:"two"; sid:930201;)',
+    ])
+    engines = []
+    for use_index in (True, False):
+        engine = RuleEngine.from_text(first, use_index=use_index)
+        engine.add_rules(later)
+        engines.append(engine)
+    trace = [
+        (0.0, _tcp("10.3.2.1", "203.0.113.80", 42100, 8080, PSH | ACK, seq=1, payload=b"one")),
+        (0.1, _tcp("10.3.2.1", "203.0.113.80", 42100, 8080, PSH | ACK, seq=4, payload=b"two")),
+    ]
+    fast, naive = ([_alert_key(a) for a in _run_single(e, trace)] for e in engines)
+    assert fast == naive
+    assert [key[1] for key in naive] == [930200]

@@ -1,8 +1,11 @@
 """Unit tests for the rule dispatch index and its supporting machinery."""
 
+import random
+
 from repro.packets import ICMPMessage, IPPacket, PSH, ACK, SYN, TCPSegment, UDPDatagram
 from repro.rules import MatchContext, RuleDispatchIndex, RuleEngine, parse_ruleset
 from repro.rules.engine import _ThresholdState
+from repro.rules.index import _enumerable_ports
 from repro.rules.language import ThresholdSpec
 
 
@@ -72,6 +75,31 @@ def test_udp_and_icmp_tables_are_separate():
                     payload=ICMPMessage.echo_request())
     assert _candidate_sids(index, udp) == [5, 7]
     assert _candidate_sids(index, icmp) == [6, 7]
+
+
+def test_ephemeral_reply_memo_is_bounded_and_exact():
+    """Replies from enumerated server ports to random ephemeral ports share
+    one sport-merge memo entry per server port, and every lookup returns
+    exactly the rules a naive header-coverage scan selects."""
+    rules = _rules(RULESET)
+    index = RuleDispatchIndex(rules)
+    enumerated = {
+        port for rule in rules if rule.protocol == "tcp"
+        for port in (_enumerable_ports(rule) or ())
+    }
+    rng = random.Random(15)
+    for _ in range(10_000):
+        sport = rng.choice(sorted(enumerated))
+        dport = rng.randrange(32768, 61000)
+        naive = [
+            rule.sid for rule in rules
+            if rule.protocol in ("tcp", "ip")
+            and (_enumerable_ports(rule) is None
+                 or dport in _enumerable_ports(rule)
+                 or sport in _enumerable_ports(rule))
+        ]
+        assert _candidate_sids(index, _tcp_packet(dport=dport, sport=sport)) == naive
+    assert 0 < len(index._dynamic) <= len(enumerated)
 
 
 def test_unknown_protocol_sees_only_ip_rules():

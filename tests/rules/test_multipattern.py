@@ -126,6 +126,98 @@ class TestScanExactness:
             assert automaton.ensure_ready() > version_before
 
 
+#: Literal bytes that are special inside a regex byte class (``]``,
+#: ``\\``, ``^``, ``-``) or sit at the ends of the byte range (NUL, 0xFF):
+#: the root skip must treat them as plain bytes.
+SPECIAL = list(b"]\\^-\x00\xff")
+
+special_literals = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(SPECIAL + list(b"aB")), min_size=1, max_size=4).map(bytes),
+        st.booleans(),
+    ).map(lambda pair: (pair[0].lower(), True) if pair[1] else (pair[0], False)),
+    min_size=1,
+    max_size=8,
+)
+
+#: Either no byte that leaves the root (the walk skips the whole haystack)
+#: or root-leaving bytes mixed with inert ones; long enough that stream
+#: tails cross ``ONE_SHOT_DFA_LIMIT`` and take the root-skipping walk.
+skip_haystacks = st.one_of(
+    st.lists(st.sampled_from(list(b"xyz[Z")), max_size=700).map(bytes),
+    st.lists(st.sampled_from(SPECIAL + list(b"aAbBxyz[")), max_size=700).map(bytes),
+)
+
+
+def _stream_scan(automaton, haystack, ends):
+    """Scan ``haystack`` as a stream growing to each of ``ends``, carrying
+    the DFA state across chunk boundaries."""
+    present = set()
+    state = 0
+    scanned = 0
+    for end in ends:
+        buffer = haystack[:end]
+        state = automaton.scan_chunk(buffer.lower(), buffer, scanned, state, present)
+        scanned = end
+    return present, state
+
+
+class TestRootSkipWalk:
+    """In state 0 the stream walk jumps over bytes that cannot leave the
+    root; it must report exactly what ``in`` (and a per-byte walk) would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_literals, skip_haystacks)
+    def test_skip_walk_equals_naive_and_per_byte_walk(self, literal_pairs, haystack):
+        automaton = _build(literal_pairs)
+        automaton.ensure_ready()
+        lowered = haystack.lower()
+        skipped, walked = set(), set()
+        skip_state = automaton._skip_walk(lowered, haystack, 0, 0, skipped)
+        walk_state = automaton._walk(lowered, haystack, 0, 0, walked)
+        assert skipped == walked == automaton.naive_present(haystack)
+        assert skip_state == walk_state
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_literals, skip_haystacks, st.lists(st.integers(0, 700), max_size=6))
+    def test_chunked_scan_carries_state_across_boundaries(
+        self, literal_pairs, haystack, cuts
+    ):
+        automaton = _build(literal_pairs)
+        ends = sorted({cut for cut in cuts if cut < len(haystack)}) + [len(haystack)]
+        present, _state = _stream_scan(automaton, haystack, ends)
+        assert present == automaton.naive_present(haystack)
+
+    def test_only_root_leaving_bytes_stop_the_skip(self):
+        """``a``, ``-``, ``z``, NUL and 0xFF leave the root; ``m`` does not."""
+        automaton = MultiPatternAutomaton()
+        ids = {
+            needle: automaton.add_literal(needle, False)
+            for needle in (b"a", b"-", b"z", b"\x00", b"\xff")
+        }
+        filler = b"m" * (2 * ONE_SHOT_DFA_LIMIT)
+        assert _stream_scan(automaton, filler, [len(filler)]) == (set(), 0)
+        for needle, lid in ids.items():
+            hay = filler + needle + filler
+            assert _stream_scan(automaton, hay, [len(hay)])[0] == {lid}
+
+    def test_literal_split_across_chunks_resumes_mid_match(self):
+        automaton = MultiPatternAutomaton()
+        lid = automaton.add_literal(b"\x00]^", False)
+        head = b"x" * (2 * ONE_SHOT_DFA_LIMIT) + b"\x00]"
+        present, state = _stream_scan(automaton, head, [len(head)])
+        assert state != 0 and not present
+        whole = head + b"^" + b"y" * (2 * ONE_SHOT_DFA_LIMIT)
+        assert _stream_scan(automaton, whole, [len(head), len(whole)])[0] == {lid}
+
+    def test_skip_positions_are_relative_to_the_resumed_tail(self):
+        automaton = MultiPatternAutomaton()
+        lid = automaton.add_literal(b"\x00]^", False)
+        head = b"x" * (2 * ONE_SHOT_DFA_LIMIT)
+        whole = head + b"y" * ONE_SHOT_DFA_LIMIT + b"\x00]^" + b"z" * 10
+        assert _stream_scan(automaton, whole, [len(head), len(whole)]) == ({lid}, 0)
+
+
 class TestOverlappingLiterals:
     def test_nested_and_overlapping_needles_all_hit(self):
         automaton = MultiPatternAutomaton()

@@ -19,6 +19,7 @@ from repro.traffic.population import (
     PopulationProfile,
     PopulationTraffic,
     _DNSTemplate,
+    _FlowTemplate,
     _SMTPTemplate,
     _VideoTemplate,
     _WebTemplate,
@@ -226,6 +227,59 @@ class TestTemplateConservation:
         )
         assert total_bytes == flow.bytes_total
         assert total_packets == flow.packets_total
+
+
+#: flow ids on both sides of the 6 -> 7 digit ``flow_id & 0xFFFFF`` boundary
+#: (the SMTP MAIL FROM length changes there) and of its wrap to zero
+flow_ids = st.one_of(
+    st.integers(0, 2**31),
+    st.integers(999_990, 1_000_010),
+    st.integers(0xFFFFF - 5, 0xFFFFF + 5),
+)
+
+
+class TestArithmeticPlan:
+    """TCP templates plan by summing turns; the result must equal walking
+    the packet script, duration float included, bit for bit."""
+
+    @staticmethod
+    def assert_plan_matches_script(template, flow_id, params):
+        plan = template.plan(flow_id, params)
+        walked = _FlowTemplate.plan(template, flow_id, params)
+        assert plan[:4] == walked[:4]
+        assert plan[4].hex() == walked[4].hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(flow_id=flow_ids, page=st.integers(0, 200_000))
+    def test_web(self, flow_id, page):
+        self.assert_plan_matches_script(_WebTemplate(), flow_id, ("cdn-00.example.com", page))
+
+    @settings(max_examples=60, deadline=None)
+    @given(flow_id=flow_ids, segment=st.integers(0, 100_000), count=st.integers(0, 5))
+    def test_video(self, flow_id, segment, count):
+        self.assert_plan_matches_script(
+            _VideoTemplate(), flow_id, ("video.example.com", segment, count)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(flow_id=flow_ids, message=st.integers(0, 50_000))
+    def test_smtp(self, flow_id, message):
+        self.assert_plan_matches_script(
+            _SMTPTemplate(), flow_id, ("client.example.com", message)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(flow_id=flow_ids, qname=st.sampled_from(["cdn-00.example.com", "ext-07.example.net"]))
+    def test_dns(self, flow_id, qname):
+        self.assert_plan_matches_script(_DNSTemplate(), flow_id, (qname,))
+
+    def test_smtp_sender_width_changes_at_one_million(self):
+        template = _SMTPTemplate()
+        params = ("client.example.com", 900)
+        below = template.plan(999_999, params)
+        above = template.plan(1_000_000, params)
+        assert above[1] == below[1] + 1  # one more digit up, same packets
+        assert above[0] == below[0]
 
 
 class TestPopulationSurface:
