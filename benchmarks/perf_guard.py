@@ -58,7 +58,7 @@ BASELINE_PATH = REPO_ROOT / "BENCH_PERF.json"
 DEFAULT_TOLERANCE = 0.30
 MIN_SECONDS = 0.25
 
-# -- shared workload builders (also used by bench_perf.py) ---------------------
+# -- shared workload builders --------------------------------------------------
 
 
 def full_ruleset_text() -> str:
@@ -459,15 +459,13 @@ def _bench_link_forward_impaired() -> tuple:
 def _sweep_grid16_spec():
     """16-point scenario grid shared by the sweep benches.
 
-    ``sweep_serial_grid16``, ``sweep_workers4_grid16`` (static
-    round-robin shards), and ``sweep_stealing_grid16`` (shared-queue
-    work stealing) run the *same* grid, so their ratios are the
-    multi-worker speedups on this host.  On a single-core container the
-    three converge (the process pool adds fork overhead but no
+    ``sweep_serial_grid16`` and ``sweep_stealing_grid16`` (a four-worker
+    work-stealing pool) run the *same* grid, so their ratio is the
+    multi-worker speedup on this host.  On a single-core container the
+    two converge (the process pool adds fork overhead but no
     parallelism); on a multi-core machine — e.g. the CI runners — the
-    pooled modes pull ahead roughly linearly until the core count or
-    the largest single point dominates, with stealing >= round-robin on
-    skewed grids.  ``sweep_resume_grid16`` resumes the grid from a
+    pool pulls ahead roughly linearly until the core count or the
+    largest single point dominates.  ``sweep_resume_grid16`` resumes the grid from a
     half-complete journal, so it prices the campaign-restore path:
     half the points replay from disk, half execute.
 
@@ -497,22 +495,12 @@ def _bench_sweep_serial_grid16() -> tuple:
     return lambda: SweepRunner(spec, serial=True).run(), len(spec), "points", 0
 
 
-def _bench_sweep_workers4_grid16() -> tuple:
-    from repro.runner import SweepRunner
-
-    spec = _sweep_grid16_spec()
-    return (
-        lambda: SweepRunner(spec, workers=4, dispatch="round-robin").run(),
-        len(spec), "points", 0,
-    )
-
-
 def _bench_sweep_stealing_grid16() -> tuple:
     from repro.runner import SweepRunner
 
     spec = _sweep_grid16_spec()
     return (
-        lambda: SweepRunner(spec, workers=4, dispatch="stealing").run(),
+        lambda: SweepRunner(spec, workers=4).run(),
         len(spec), "points", 0,
     )
 
@@ -704,7 +692,6 @@ HOT_PATHS = {
     "link_forward_lossless": _bench_link_forward_lossless,
     "link_forward_impaired": _bench_link_forward_impaired,
     "sweep_serial_grid16": _bench_sweep_serial_grid16,
-    "sweep_workers4_grid16": _bench_sweep_workers4_grid16,
     "sweep_stealing_grid16": _bench_sweep_stealing_grid16,
     "sweep_resume_grid16": _bench_sweep_resume_grid16,
     "censor_dispatch": _bench_censor_dispatch,
@@ -845,9 +832,9 @@ def main(argv=None) -> int:
             "note": (
                 "ops/sec per hot path, measured by benchmarks/perf_guard.py; "
                 "machine-relative — regenerate with --update when hardware changes. "
-                "The sweep_* benches share one grid: workers4/serial and "
-                "stealing/serial are the multi-worker speedups, meaningful "
-                "only when cpus > 1; resume replays half the grid from a "
+                "The sweep_* benches share one grid: stealing/serial is the "
+                "multi-worker speedup, meaningful only when cpus > 1; "
+                "resume replays half the grid from a "
                 "campaign journal.  Sweep workers share one process-cached "
                 "literal automaton per ruleset (rule_engine_construct_cached "
                 "vs multipattern_build is that win), and the population_* "

@@ -41,17 +41,13 @@ class GreatFirewall(CensorModel):
         variables: Optional[Dict[str, str]] = None,
         stream_depth: int = 8192,
         overlap_policy: str = "first",
-        prefilter: str = "auto",
     ) -> None:
         super().__init__(policy)
         self._variables = dict(variables or DEFAULT_VARIABLES)
-        #: Literal-prefilter strategy for the signature engine (see
-        #: ``RuleEngine``); "auto" means the ruleset-wide multipattern
-        #: pass.  Unlike the passive surveillance tap, the censor cannot
-        #: defer evaluation into batches: every packet needs its verdict
-        #: (DROP/PASS, RST/DNS injection) before it may be forwarded, so
-        #: it runs the same fast engine core at batch size 1.
-        self.prefilter = prefilter
+        # Unlike the passive surveillance tap, the censor cannot defer
+        # evaluation into batches: every packet needs its verdict
+        # (DROP/PASS, RST/DNS injection) before it may be forwarded, so it
+        # calls ``RuleEngine.process`` once per packet.
         #: Bytes of each flow direction the censor's reassembler inspects —
         #: the GFC's finite reassembly the evasion literature probes
         #: (Khattak et al. [26]); exposed for the stream-depth ablation.
@@ -76,13 +72,11 @@ class GreatFirewall(CensorModel):
             return RuleEngine(
                 rules=[], variables=self._variables, stream_depth=self.stream_depth,
                 overlap_policy=self.overlap_policy, obs_label="censor",
-                prefilter=self.prefilter,
             )
         text = censor_ruleset_text(keywords, domains)
         return RuleEngine.from_text(
             text, variables=self._variables, stream_depth=self.stream_depth,
             overlap_policy=self.overlap_policy, obs_label="censor",
-            prefilter=self.prefilter,
         )
 
     def set_policy(self, policy: CensorshipPolicy) -> None:

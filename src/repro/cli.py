@@ -238,10 +238,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     point to ``PREFIX.journal.jsonl`` as it completes.  While the
     campaign is in flight, ``PREFIX.partial.json`` holds an atomically
     rewritten progress document.  The final files are byte-identical for
-    any worker count, dispatch mode, or number of kill/``--resume``
-    cycles — the report deliberately contains no execution metadata — so
-    ``--serial`` output can be ``cmp``-ed against a ``--workers N`` or
-    kill-then-resume run (the CI smoke jobs do exactly that).
+    any worker count or number of kill/``--resume`` cycles — the report
+    deliberately contains no execution metadata — so ``--serial`` output
+    can be ``cmp``-ed against a ``--workers N`` or kill-then-resume run
+    (the CI smoke jobs do exactly that).
     """
     import time as _time
 
@@ -273,7 +273,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         serial=args.serial,
         max_point_retries=args.point_retries,
-        dispatch=args.dispatch,
         store=store,
         partial_path=f"{prefix}.partial.json",
         partial_every=args.partial_every,
@@ -295,10 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     metrics_path = write_json(f"{prefix}.metrics.json", report["merged"]["metrics"])
 
     summary = report["summary"]
-    if runner.serial:
-        mode = "serial"
-    else:
-        mode = f"{args.workers} workers ({args.dispatch})"
+    mode = "serial" if runner.serial else f"{args.workers} workers"
     records = summary["records"]
     rows = [
         ["spec", spec.name],
@@ -440,6 +436,20 @@ def cmd_ethics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integers >= ``minimum``, so a bad value is a
+    usage error (exit 2) before any command writes a file."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum} (got {value})")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -524,15 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("spec", metavar="SPEC",
                        help="sweep spec file (.json or .toml)")
-    sweep.add_argument("--workers", type=int, default=1, metavar="N",
+    sweep.add_argument("--workers", type=_int_at_least(1), default=1,
+                       metavar="N",
                        help="worker processes (default 1)")
     sweep.add_argument("--serial", action="store_true",
                        help="run every point in-process (no pool)")
-    sweep.add_argument("--dispatch", choices=("stealing", "round-robin"),
-                       default="stealing",
-                       help="pool dispatch: shared work-stealing queue "
-                            "(default) or static round-robin shards")
-    sweep.add_argument("--point-retries", type=int, default=1, metavar="N",
+    sweep.add_argument("--point-retries", type=_int_at_least(0), default=1,
+                       metavar="N",
                        help="retries per failing point before marking it failed")
     sweep.add_argument("--out", default="sweep", metavar="PREFIX",
                        help="output prefix (PREFIX.report.json / "
@@ -544,7 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(a journal from a different spec is discarded)")
     sweep.add_argument("--no-journal", action="store_true",
                        help="skip the campaign journal (run is not resumable)")
-    sweep.add_argument("--partial-every", type=int, default=8, metavar="N",
+    sweep.add_argument("--partial-every", type=_int_at_least(1), default=8,
+                       metavar="N",
                        help="rewrite PREFIX.partial.json every N finished "
                             "points (default 8)")
     sweep.add_argument("--kill-after", type=int, default=None, metavar="N",

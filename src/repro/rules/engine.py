@@ -12,10 +12,10 @@ port, a shared :class:`MatchContext` computes per-packet facts once, and a
 ruleset-wide Aho–Corasick pass (:mod:`.multipattern`) turns each rule's
 necessary-literal check into a set-membership test — candidate content
 rules are only *revived* when their anchor literal was actually seen in
-the payload.  ``RuleEngine(use_index=False)`` keeps the naive full-scan
-path alive as the semantic reference (see
-``tests/rules/test_equivalence.py``), and ``prefilter="anchor"``/"none"
-keep the older per-rule strategies selectable.
+the payload.  That is the one production configuration.
+``RuleEngine(use_index=False)`` is the only other: the naive full scan with
+no literal prefilter, kept as the semantic reference the fast path is
+tested against (see ``tests/rules/test_equivalence.py``).
 
 Observability on the hot path is *batched*: per-packet counter deltas
 accumulate in plain engine-local ints/dicts and fold into the registry
@@ -38,15 +38,9 @@ from .language import Rule, ThresholdSpec, parse_ruleset
 from .multipattern import MultiPatternAutomaton, StreamScanState, shared_automaton
 from .reassembly import StreamReassembler, StreamUpdate
 
-__all__ = ["Alert", "RuleEngine", "PREFILTER_MODES"]
+__all__ = ["Alert", "RuleEngine"]
 
 _PROTO_OF = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
-
-#: Literal-prefilter strategies: "multipattern" is the ruleset-wide
-#: Aho–Corasick pass, "anchor" the legacy per-rule ``needle in hay`` check,
-#: "none" disables literal filtering entirely.  "auto" resolves to
-#: multipattern on the indexed path and "none" on the naive reference path.
-PREFILTER_MODES = ("auto", "multipattern", "anchor", "none")
 
 _EMPTY_IDS: frozenset = frozenset()
 
@@ -156,7 +150,6 @@ class RuleEngine:
         overlap_policy: str = "first",
         use_index: bool = True,
         obs_label: str = "engine",
-        prefilter: str = "auto",
         obs_flush_interval: int = 64,
         trace_sample_interval: int = 64,
     ) -> None:
@@ -169,23 +162,18 @@ class RuleEngine:
         self.packets_processed = 0
         self._thresholds = _ThresholdState()
         self.use_index = use_index
-        if prefilter not in PREFILTER_MODES:
-            raise ValueError(f"prefilter must be one of {PREFILTER_MODES}")
-        if prefilter == "auto":
-            prefilter = "multipattern" if use_index else "none"
-        self.prefilter = prefilter
         self._index: Optional[RuleDispatchIndex] = (
             RuleDispatchIndex(self.rules) if use_index else None
         )
-        #: the ruleset's literal automaton — the process-cached shared
-        #: instance when one exists for this literal set.  Sweep workers
-        #: construct an engine per point over the same handful of
-        #: rulesets; the cache turns every rebuild after the first into a
-        #: dictionary lookup (see ``shared_automaton``).  ``add_rules``
-        #: copies-on-write before extending a shared instance.
-        self._mp: Optional[MultiPatternAutomaton] = None
-        if prefilter == "multipattern":
-            self._mp = shared_automaton(self.rules)
+        #: the ruleset's literal automaton (indexed engines only): the
+        #: process-cached shared instance when one exists for this literal
+        #: set.  Sweep workers construct an engine per point over the same
+        #: handful of rulesets; the cache turns every rebuild after the
+        #: first into a dictionary lookup (see ``shared_automaton``).
+        #: ``add_rules`` copies-on-write before extending a shared instance.
+        self._mp: Optional[MultiPatternAutomaton] = (
+            shared_automaton(self.rules) if use_index else None
+        )
         self._by_sid: Dict[int, Rule] = {rule.sid: rule for rule in self.rules}
         # Observability, resolved once; ``obs_label`` distinguishes the
         # censor's engine from the MVR's in shared registry counters.
@@ -251,7 +239,6 @@ class RuleEngine:
         overlap_policy: str = "first",
         use_index: bool = True,
         obs_label: str = "engine",
-        prefilter: str = "auto",
     ) -> "RuleEngine":
         variables = dict(variables or {})
         return cls(
@@ -261,7 +248,6 @@ class RuleEngine:
             overlap_policy=overlap_policy,
             use_index=use_index,
             obs_label=obs_label,
-            prefilter=prefilter,
         )
 
     def add_rules(self, ruleset_text: str) -> None:
@@ -308,75 +294,52 @@ class RuleEngine:
             self.reassembler.feed_tcp(packet, tcp, now) if tcp is not None else None
         )
         ctx = MatchContext(packet, update, tcp=tcp)
-        prefilter_skips = 0
-        anchor_check = False
-        if self._mp is not None:
-            # Multipattern fast path: one scan yields the present literal
-            # ids; only rules whose anchor literal was seen (plus the
+        memo = None
+        alerted = _EMPTY_IDS
+        if self._index is not None:
+            # Fast path: one multipattern scan yields the present literal
+            # ids; only bucket rules whose anchor literal was seen (plus the
             # never-filterable ones) survive to full evaluation, merged
             # back in ruleset order.
             present = self._present_ids(ctx, update)
-            if self._index is not None:
-                bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
-                total = len(bucket.rules)
-                entries = bucket.always
-                if present:
-                    by_anchor = bucket.by_anchor
-                    revived = None
-                    for lid in present:
-                        hit = by_anchor.get(lid)
-                        if hit is not None:
-                            if revived is None:
-                                revived = list(entries)
-                            revived.extend(hit)
-                    if revived is not None:
-                        revived.sort()
-                        entries = revived
-                # The anchor hit revived the rule; the frozenset subset
-                # test enforces the *rest* of its required literals.
-                candidates = [
-                    rule
-                    for _order, rule in entries
-                    if rule._mp_required is None or rule._mp_required <= present
-                ]
-            else:
-                total = len(self.rules)
-                candidates = [
-                    rule
-                    for rule in self.rules
-                    if rule._mp_required is None or rule._mp_required <= present
-                ]
-            evaluated = total
-            prefilter_skips = total - len(candidates)
-        elif self._index is not None:
-            candidates = self._index.candidates(packet.protocol, ctx.dport, ctx.sport)
-            evaluated = len(candidates)
-            anchor_check = self.prefilter == "anchor"
+            bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
+            entries = bucket.always
+            if present:
+                by_anchor = bucket.by_anchor
+                revived = None
+                for lid in present:
+                    hit = by_anchor.get(lid)
+                    if hit is not None:
+                        if revived is None:
+                            revived = list(entries)
+                        revived.extend(hit)
+                if revived is not None:
+                    revived.sort()
+                    entries = revived
+            # The anchor hit revived the rule; the frozenset subset
+            # test enforces the *rest* of its required literals.
+            candidates = [
+                rule
+                for _order, rule in entries
+                if rule._mp_required is None or rule._mp_required <= present
+            ]
+            evaluated = len(bucket.rules)
+            prefilter_skips = evaluated - len(candidates)
+            if update is not None and candidates:
+                # Stream fast path: memoised payload options and the skip
+                # of sids this flow already alerted on.  The reference
+                # path stays memo-free.
+                memo = self._payload_memo(update)
+                alerted = update.flow.alerted_sids
         else:
             candidates = self.rules
             evaluated = len(candidates)
-            anchor_check = self.prefilter == "anchor"
+            prefilter_skips = 0
         passed = False
         matches: List[Alert] = []
-        # Stream fast path (indexed engines only, so use_index=False stays
-        # the memo-free reference): memoised payload options and the
-        # skip of sids this flow already alerted on.
-        memo = None
-        alerted = _EMPTY_IDS
-        if update is not None and candidates and self._index is not None:
-            memo = self._payload_memo(update)
-            alerted = update.flow.alerted_sids
         for rule in candidates:
             if not self._header_matches(rule, packet, ctx):
                 continue
-            if anchor_check:
-                anchor = rule.anchor_literal()
-                if anchor is not None:
-                    needle, nocase = anchor
-                    hay = ctx.lower_haystack if nocase else ctx.haystack
-                    if needle not in hay:
-                        prefilter_skips += 1
-                        continue  # a necessary literal is absent
             if (
                 rule.sid in alerted
                 and rule.threshold is None

@@ -145,7 +145,7 @@ class CompiledBucket:
     __slots__ = ("rules", "always", "by_anchor")
 
     def __init__(self, ordered: List[Tuple[int, Rule]]) -> None:
-        #: bare rules in ruleset order (the legacy ``candidates()`` shape)
+        #: bare rules in ruleset order (every rule the bucket dispatches to)
         self.rules: List[Rule] = [rule for _order, rule in ordered]
         self.always: List[Tuple[int, Rule]] = []
         self.by_anchor: Dict[int, List[Tuple[int, Rule]]] = {}
@@ -164,9 +164,7 @@ class _ProtoTable:
     __slots__ = (
         "port_rules",
         "catch_all",
-        "catch_all_rules",
         "catch_all_compiled",
-        "merged",
         "merged_compiled",
     )
 
@@ -175,22 +173,15 @@ class _ProtoTable:
         self.port_rules: Dict[int, List[Tuple[int, Rule]]] = {}
         #: rules whose dport coverage is not enumerable, in order
         self.catch_all: List[Tuple[int, Rule]] = []
-        #: ``catch_all`` stripped to bare rules (the no-bucket fast path)
-        self.catch_all_rules: List[Rule] = []
         self.catch_all_compiled = CompiledBucket([])
-        #: dport -> final ordered candidate rules (port bucket ∪ catch-all)
-        self.merged: Dict[int, List[Rule]] = {}
+        #: dport -> compiled candidate bucket (port bucket ∪ catch-all)
         self.merged_compiled: Dict[int, CompiledBucket] = {}
 
     def finalize(self) -> None:
         self.catch_all_compiled = CompiledBucket(sorted(self.catch_all))
-        self.catch_all_rules = self.catch_all_compiled.rules
         self.merged_compiled = {
             port: CompiledBucket(sorted(bucket + self.catch_all))
             for port, bucket in self.port_rules.items()
-        }
-        self.merged = {
-            port: compiled.rules for port, compiled in self.merged_compiled.items()
         }
 
 
@@ -276,10 +267,6 @@ class RuleDispatchIndex:
             bucket = CompiledBucket(ordered)
             self._dynamic[key] = bucket
         return bucket
-
-    def candidates(self, protocol: int, dport: int, sport: int) -> List[Rule]:
-        """Ordered candidate rules (the compiled bucket, stripped)."""
-        return self.lookup(protocol, dport, sport).rules
 
 
 def _enumerable_ports(rule: Rule) -> Optional[List[int]]:

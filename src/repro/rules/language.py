@@ -97,31 +97,9 @@ class Rule:
     flow: List[str] = field(default_factory=list)
     threshold: Optional[ThresholdSpec] = None
     raw: str = ""
-    #: cached anchor literal (``False`` = not yet computed, ``None`` = none)
-    _anchor: object = field(default=False, repr=False, compare=False)
 
     def needs_payload(self) -> bool:
         return bool(self.contents or self.pcres)
-
-    def anchor_literal(self) -> Optional[tuple]:
-        """The rule's cheapest necessary literal, as ``(needle, nocase)``.
-
-        Every non-negated ``content`` must appear somewhere in the haystack
-        for the rule to fire (offset/depth only narrow the window), so the
-        longest such pattern is a sound prefilter: if it is absent from the
-        haystack the full option evaluation can be skipped.  Returns None
-        for rules with no non-negated content (pcre-only, negated-only,
-        header-only rules).
-        """
-        if self._anchor is False:
-            best = None
-            for content in self.contents:
-                if content.negated:
-                    continue
-                if best is None or len(content.pattern) > len(best.pattern):
-                    best = content
-            self._anchor = None if best is None else (best.needle(), best.nocase)
-        return self._anchor
 
     def __str__(self) -> str:
         return f"[{self.sid}:{self.rev}] {self.action} {self.msg!r}"

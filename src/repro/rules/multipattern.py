@@ -133,8 +133,7 @@ def anchor_literal_id(rule) -> Optional[int]:
 
     The longest literal is the least likely to occur by chance, so bucketing
     a rule under it minimizes spurious candidate revivals (the same
-    heuristic behind the existing ``anchor_literal`` and Snort's
-    fast-pattern selection).
+    heuristic behind Snort's fast-pattern selection).
     """
     anchor = getattr(rule, "_mp_anchor", False)
     if anchor is False:

@@ -1,13 +1,12 @@
 """Resumable campaign execution with a deterministic merge.
 
 ``SweepRunner`` expands a :class:`~repro.runner.spec.SweepSpec` into its
-grid, executes the points — serially, across statically pre-assigned
-shards, or through a work-stealing pool — and folds the per-point
-records into one report whose bytes depend only on the spec, never on
-the worker count, dispatch mode, scheduling order, wall clock, or how
-many crash/resume cycles the campaign took.  That invariant is what the
-serial vs ``--workers 4`` vs kill-then-resume byte-identity tests (and
-the CI smoke jobs) pin down, and it falls out of four rules:
+grid, executes the points — serially or through a work-stealing pool —
+and folds the per-point records into one report whose bytes depend only
+on the spec, never on the worker count, scheduling order, wall clock,
+or how many crash/resume cycles the campaign took.  That invariant is
+what the serial vs ``--workers 4`` vs kill-then-resume byte-identity
+tests (and the CI smoke jobs) pin down, and it falls out of four rules:
 
 1. every point runs in a fresh simulator + metrics registry seeded from
    the point parameters alone (see :mod:`.worker`);
@@ -32,13 +31,11 @@ with fresh ones into the same bytes an uninterrupted run produces.  A
 atomically rewrites a small progress document every ``partial_every``
 completions.
 
-**Dispatch**: ``"stealing"`` (default for pools) submits each point as
-its own pool task, so idle workers pull the next point off the shared
-queue the moment they finish — point costs vary wildly across loss
-rates and retry policies, and static shards strand cheap points behind
-a shard-mate whale.  ``"round-robin"`` keeps the original static
-pre-assignment (one task per shard), retained because comparing the two
-modes byte-for-byte is itself a regression test.
+**Dispatch**: a pool run submits each point as its own pool task, so
+idle workers pull the next point off the shared queue the moment they
+finish (work stealing) — point costs vary wildly across loss rates and
+retry policies, and static shards would strand cheap points behind a
+shard-mate whale.
 
 Crash isolation: exceptions inside a point are contained (and retried)
 by the worker itself, and unpicklable results become failed records
@@ -61,14 +58,12 @@ from ..analysis.metrics import run_report
 from ..obs import MetricsRegistry
 from ..obs.export import write_json
 from ..results.record import summarize_rows, write_records
-from .shard import QueuePlanner, ShardPlanner
+from .shard import QueuePlanner
 from .spec import SweepPoint, SweepSpec
 from .store import CampaignStore
 from .worker import run_shard
 
-__all__ = ["SweepRunner", "DISPATCH_MODES"]
-
-DISPATCH_MODES = ("stealing", "round-robin")
+__all__ = ["SweepRunner"]
 
 
 class SweepRunner:
@@ -81,7 +76,6 @@ class SweepRunner:
         workers: int = 1,
         serial: bool = False,
         max_point_retries: int = 1,
-        dispatch: str = "stealing",
         store: Optional[CampaignStore] = None,
         partial_path: Optional[str] = None,
         partial_every: int = 1,
@@ -90,9 +84,9 @@ class SweepRunner:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
-        if dispatch not in DISPATCH_MODES:
+        if max_point_retries < 0:
             raise ValueError(
-                f"unknown dispatch mode {dispatch!r} (choose from {DISPATCH_MODES})"
+                f"max_point_retries must be >= 0 (got {max_point_retries})"
             )
         if partial_every < 1:
             raise ValueError(f"partial_every must be >= 1 (got {partial_every})")
@@ -100,7 +94,6 @@ class SweepRunner:
         self.workers = workers
         self.serial = serial or workers == 1
         self.max_point_retries = max_point_retries
-        self.dispatch = dispatch
         self.store = store
         self.partial_path = partial_path
         self.partial_every = partial_every
@@ -125,43 +118,12 @@ class SweepRunner:
 
     def _execute_serial(self, pending: List[SweepPoint], outcomes: Dict[int, dict]) -> None:
         # One run_shard call per point (not one for the whole list) so the
-        # journal advances point by point, same as the pool paths.
+        # journal advances point by point, same as the pool path.
         for point in pending:
             record = run_shard(
                 [point.as_dict()], self.max_point_retries, in_process=True,
             )[0]
             self._record(outcomes, record)
-
-    def _execute_round_robin(self, pending: List[SweepPoint], outcomes: Dict[int, dict]) -> None:
-        """Static pre-assignment: one pool task per shard."""
-        shards = ShardPlanner(self.workers).plan(pending)
-        dead_shards = []
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(
-                    run_shard,
-                    [point.as_dict() for point in shard.points],
-                    self.max_point_retries,
-                ): shard
-                for shard in shards
-            }
-            for future in as_completed(futures):
-                shard = futures[future]
-                try:
-                    for record in future.result():
-                        self._record(outcomes, record)
-                except BaseException:
-                    # A worker death breaks every outstanding future; the
-                    # casualties are collected here and salvaged below.
-                    dead_shards.append(shard)
-
-        # Salvage pass: a dead shard may have finished some points before
-        # the crash, but their records died with the process — re-running
-        # them is pure waste-of-work, never a correctness risk, because
-        # points are deterministic functions of their parameters.
-        for shard in dead_shards:
-            for point in shard.points:
-                self._record(outcomes, self._run_point_quarantined(point))
 
     def _execute_stealing(self, pending: List[SweepPoint], outcomes: Dict[int, dict]) -> None:
         """Shared-queue dispatch: one pool task per point.
@@ -333,8 +295,6 @@ class SweepRunner:
 
         if self.serial:
             self._execute_serial(pending, outcomes)
-        elif self.dispatch == "round-robin":
-            self._execute_round_robin(pending, outcomes)
         else:
             self._execute_stealing(pending, outcomes)
 
@@ -378,7 +338,7 @@ class SweepRunner:
         ``records`` is already sorted by grid index and each point's rows
         carry their in-point ``seq``, so the concatenation is the one
         canonical row order — the same regardless of worker count,
-        dispatch mode, or how many crash/resume cycles produced the
+        scheduling order, or how many crash/resume cycles produced the
         point records.
         """
         for record in records:

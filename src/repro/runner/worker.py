@@ -269,9 +269,11 @@ def run_shard(
     that kills the whole process is the parent's problem; see
     :meth:`SweepRunner._run_point_quarantined`.)
     """
+    if max_point_retries < 0:
+        raise ValueError(f"max_point_retries must be >= 0 (got {max_point_retries})")
+    attempts_allowed = 1 + max_point_retries
     records = []
     for point_data in shard_points:
-        attempts_allowed = 1 + max_point_retries
         for attempt in range(1, attempts_allowed + 1):
             try:
                 record = run_point(point_data, in_process=in_process)

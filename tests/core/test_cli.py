@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,3 +96,26 @@ class TestDeckCommand:
                      "--domains", "twitter.com", "--json"]) == 0
         out = capsys.readouterr().out
         assert '"kind": "campaign"' in out
+
+
+class TestSweepArgumentValidation:
+    """Bad sweep arguments are usage errors (exit 2) caught before the
+    campaign journal is created."""
+
+    SPEC = str(Path(__file__).parents[2] / "examples" / "sweep_smoke.json")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--point-retries", "-1"),
+        ("--workers", "0"),
+        ("--partial-every", "0"),
+    ])
+    def test_rejected_before_any_file_is_written(self, tmp_path, capsys,
+                                                 flag, value):
+        prefix = tmp_path / "campaign"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", self.SPEC, "--serial", "--out", str(prefix),
+                  flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+        assert not (tmp_path / "campaign.journal.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []

@@ -1,22 +1,21 @@
-"""Semantic equivalence of every engine fast path and the naive full scan.
+"""Semantic equivalence of the engine's fast path and the naive full scan.
 
-The dispatch index, MatchContext sharing, the literal prefilters (per-rule
-anchor scan and the ruleset-wide Aho–Corasick pass), and batched
-evaluation are pure optimizations: for any packet trace they must produce
-*identical* alert sequences (same alerts, same order, pass-rule
-suppression intact) to ``RuleEngine(use_index=False, prefilter="none")``,
-which still runs the original rule-by-rule scan.  Two traces exercise
-this: one deterministic hand-built mixed trace (TCP with a keyword split
-across segments, UDP DNS, ICMP, threshold-triggering bursts, pass-rule
-traffic, bidirectional and port-range rules) and one seeded random trace,
-fed through the full cross-product of ``use_index`` × ``prefilter`` ×
-single-packet vs ``process_batch``.
+The dispatch index, MatchContext sharing, the ruleset-wide Aho–Corasick
+literal prefilter, and batched evaluation are pure optimizations: for any
+packet trace they must produce *identical* alert sequences (same alerts,
+same order, pass-rule suppression intact) to ``RuleEngine(use_index=False)``,
+which still runs the original rule-by-rule scan with no prefilter.  Two
+traces exercise this: one deterministic hand-built mixed trace (TCP with a
+keyword split across segments, UDP DNS, ICMP, threshold-triggering bursts,
+pass-rule traffic, bidirectional and port-range rules) and one seeded
+random trace, each fed single-packet and through ``process_batch``.
 """
 
 import random
 
 import pytest
 
+from repro.censor import build_censor
 from repro.packets import (
     ACK,
     ICMPMessage,
@@ -33,6 +32,7 @@ from repro.rules import (
     mvr_detection_ruleset_text,
     surveillance_interest_ruleset_text,
 )
+from repro.surveillance import SurveillanceSystem
 
 EXTRA_RULES = "\n".join([
     # pass rule ahead of a catch-all: suppression ordering must survive
@@ -263,15 +263,9 @@ def test_indexed_and_naive_paths_emit_identical_alert_sequences(overlap_policy):
 
 
 #: every engine configuration that must be alert-for-alert identical to
-#: the naive reference scan
-ENGINE_CONFIGS = [
-    (True, "multipattern"),
-    (True, "anchor"),
-    (True, "none"),
-    (False, "multipattern"),
-    (False, "anchor"),
-    (False, "none"),
-]
+#: the naive reference scan: the production one (dispatch index plus the
+#: multipattern prefilter), the only configuration besides the reference
+ENGINE_CONFIGS = [pytest.param(True, id="True-multipattern")]
 
 
 def _run_single(engine, trace):
@@ -296,19 +290,17 @@ def _run_batched(engine, trace, batch_size=7):
 
 @pytest.mark.parametrize("trace_name", ["handbuilt", "random"])
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("use_index,prefilter", ENGINE_CONFIGS)
-def test_cross_product_equivalence(trace_name, batched, use_index, prefilter):
-    """use_index × prefilter × single-vs-batch: identical alert sequences."""
+@pytest.mark.parametrize("use_index", ENGINE_CONFIGS)
+def test_cross_product_equivalence(trace_name, batched, use_index):
+    """Engine configuration × single-vs-batch × trace: identical alert
+    sequences to the reference."""
     trace = build_trace() if trace_name == "handbuilt" else build_random_trace()
     reference = RuleEngine.from_text(
-        _ruleset_text(), variables=DEFAULT_VARIABLES,
-        use_index=False, prefilter="none",
+        _ruleset_text(), variables=DEFAULT_VARIABLES, use_index=False,
     )
     engine = RuleEngine.from_text(
-        _ruleset_text(), variables=DEFAULT_VARIABLES,
-        use_index=use_index, prefilter=prefilter,
+        _ruleset_text(), variables=DEFAULT_VARIABLES, use_index=use_index,
     )
-    assert engine.prefilter == prefilter
     expected = _run_single(reference, trace)
     got = _run_batched(engine, trace) if batched else _run_single(engine, trace)
     assert [_alert_key(a) for a in got] == [_alert_key(a) for a in expected]
@@ -499,3 +491,19 @@ def test_pass_rule_sharing_an_alerted_sid_is_not_skipped():
     fast, naive = ([_alert_key(a) for a in _run_single(e, trace)] for e in engines)
     assert fast == naive
     assert [key[1] for key in naive] == [930200]
+
+
+def test_engine_has_one_production_configuration_plus_the_reference():
+    """Every engine the simulation builds runs the production fast path
+    (dispatch index plus multipattern automaton); ``use_index=False`` is
+    the bare reference scan; the removed prefilter knob is gone."""
+    engines = [build_censor(name)._engine
+               for name in ("gfc", "bidirectional-residual", "throttler")]
+    engines.append(SurveillanceSystem().engine)
+    for engine in engines:
+        assert engine._index is not None and engine._mp is not None
+    reference = RuleEngine.from_text(_ruleset_text(), variables=DEFAULT_VARIABLES,
+                                     use_index=False)
+    assert reference._index is None and reference._mp is None
+    with pytest.raises(TypeError):
+        RuleEngine(**{"prefilter": "none"})

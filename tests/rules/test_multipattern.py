@@ -271,10 +271,8 @@ class TestStreamRewriteFencing:
         engine has to alert exactly like the naive scan on the new
         content."""
         text = 'alert tcp any any -> any 80 (msg:"evil"; content:"evil"; sid:990010;)'
-        fast = RuleEngine.from_text(text, overlap_policy="last",
-                                    use_index=True, prefilter="multipattern")
-        naive = RuleEngine.from_text(text, overlap_policy="last",
-                                     use_index=False, prefilter="none")
+        fast = RuleEngine.from_text(text, overlap_policy="last", use_index=True)
+        naive = RuleEngine.from_text(text, overlap_policy="last", use_index=False)
         from repro.packets import ACK, IPPacket, PSH, TCPSegment
 
         def seg(payload, seq):

@@ -128,8 +128,7 @@ class TestStarvationRegression:
         spec = population_spec(populations=(900, 0, 0, 0), duration=20.0)
         store = CampaignStore(str(tmp_path / "pop.journal.jsonl"),
                               spec.content_hash())
-        report = SweepRunner(spec, workers=2, dispatch="stealing",
-                             store=store).run()
+        report = SweepRunner(spec, workers=2, store=store).run()
         store.close()
 
         with open(store.path, "r", encoding="utf-8") as fh:
@@ -146,7 +145,7 @@ class TestStarvationRegression:
 
 
 class TestDispatchDeterminism:
-    """Serial and pooled sweeps over a population axis must stay
+    """Serial, pooled, and resumed sweeps over a population axis must stay
     byte-identical — the tiered-fidelity generator preserves the runner's
     headline purity property."""
 
@@ -155,10 +154,20 @@ class TestDispatchDeterminism:
         return population_spec(populations=(80, 0), duration=8.0)
 
     @pytest.fixture(scope="class")
-    def serial_reference(self, spec):
-        return canonical(SweepRunner(spec, serial=True).run())
+    def serial_report(self, spec):
+        return SweepRunner(spec, serial=True).run()
 
-    @pytest.mark.parametrize("dispatch", ["round-robin", "stealing"])
-    def test_workers2_byte_identical(self, spec, serial_reference, dispatch):
-        report = SweepRunner(spec, workers=2, dispatch=dispatch).run()
-        assert canonical(report) == serial_reference
+    @pytest.mark.parametrize("mode", ["resumed", "stealing"])
+    def test_workers2_byte_identical(self, spec, serial_report, tmp_path, mode):
+        if mode == "stealing":
+            report = SweepRunner(spec, workers=2).run()
+        else:
+            # the empty point is journaled; the pool runs the population one
+            path = str(tmp_path / "pop.journal.jsonl")
+            with CampaignStore(path, spec.content_hash()) as store:
+                store.append(serial_report["points"][1])
+            with CampaignStore(path, spec.content_hash(), resume=True) as store:
+                runner = SweepRunner(spec, workers=2, store=store)
+                report = runner.run()
+            assert runner.resumed_indexes == [1]
+        assert canonical(report) == canonical(serial_report)

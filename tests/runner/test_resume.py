@@ -125,8 +125,7 @@ class TestKillThenResume:
         spec = small_spec()
         prefix = run_killed_campaign(tmp_path, spec, kill_after=2,
                                      extra_args=("--workers", "2"))
-        report, runner = resume_campaign(spec, prefix, workers=2,
-                                         dispatch="stealing")
+        report, runner = resume_campaign(spec, prefix, workers=2)
         assert canonical(report) == canonical(uninterrupted)
         # the pool journals in completion order, so the surviving set is
         # arbitrary — but it plus the resumed set must tile the grid

@@ -82,6 +82,25 @@ class TestRunShard:
         assert "injected failure" in failed["error"]
         assert failed["attempts_used"] == 2  # initial try + 1 bounded retry
 
+    def test_negative_retries_rejected(self):
+        """Zero allowed attempts used to leave ``record`` unbound (or, in
+        a multi-point shard, re-append the previous point's record)."""
+        points = [p.as_dict() for p in small_spec(seeds=(0,)).points()]
+        with pytest.raises(ValueError, match="max_point_retries"):
+            run_shard(points, max_point_retries=-1, in_process=True)
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"workers": 0},
+        {"partial_every": 0},
+        {"max_point_retries": -1},
+    ], ids=["workers", "partial_every", "max_point_retries"])
+    def test_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            SweepRunner(small_spec(), **kwargs)
+
 
 class TestDeterministicMerge:
     @pytest.fixture(scope="class")
@@ -181,9 +200,9 @@ class TestQueuePlanner:
 
 
 class TestDispatchDeterminism:
-    """Serial, round-robin shards, and work stealing — at any worker
-    count — must all produce byte-identical reports, even on a grid with
-    artificially skewed point costs."""
+    """Serial, work stealing, and a run resumed from a half-written
+    journal — at any worker count — must all produce byte-identical
+    reports, even on a grid with artificially skewed point costs."""
 
     @pytest.fixture(scope="class")
     def skewed_spec(self):
@@ -193,16 +212,27 @@ class TestDispatchDeterminism:
         )
 
     @pytest.fixture(scope="class")
-    def serial_reference(self, skewed_spec):
-        return canonical(SweepRunner(skewed_spec, serial=True).run())
+    def serial_report(self, skewed_spec):
+        return SweepRunner(skewed_spec, serial=True).run()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("dispatch", ["round-robin", "stealing"])
-    def test_all_modes_byte_identical(self, skewed_spec, serial_reference,
-                                      workers, dispatch):
-        report = SweepRunner(skewed_spec, workers=workers,
-                             dispatch=dispatch).run()
-        assert canonical(report) == serial_reference
+    @pytest.mark.parametrize("mode", ["resumed", "stealing"])
+    def test_all_modes_byte_identical(self, skewed_spec, serial_report,
+                                      tmp_path, workers, mode):
+        if mode == "stealing":
+            report = SweepRunner(skewed_spec, workers=workers).run()
+        else:
+            # half the grid is journaled; the other half runs on `workers`
+            path = str(tmp_path / "skew.journal.jsonl")
+            spec_hash = skewed_spec.content_hash()
+            with CampaignStore(path, spec_hash) as store:
+                for record in serial_report["points"][::2]:
+                    store.append(record)
+            with CampaignStore(path, spec_hash, resume=True) as store:
+                runner = SweepRunner(skewed_spec, workers=workers, store=store)
+                report = runner.run()
+            assert runner.resumed_indexes == list(range(0, len(skewed_spec), 2))
+        assert canonical(report) == canonical(serial_report)
 
 
 class TestStarvation:
@@ -223,8 +253,7 @@ class TestStarvation:
                           duration=30.0, inject_delays={0: 0.6})
         store = CampaignStore(str(tmp_path / "whale.journal.jsonl"),
                               spec.content_hash())
-        report = SweepRunner(spec, workers=2, dispatch="stealing",
-                             store=store).run()
+        report = SweepRunner(spec, workers=2, store=store).run()
         store.close()
 
         with open(store.path, "r", encoding="utf-8") as fh:
@@ -252,8 +281,7 @@ class TestUnpicklableResult:
                           inject_failures={1: "unpicklable"})
 
     def test_failed_record_names_the_offending_point(self, poisoned_spec):
-        report = SweepRunner(poisoned_spec, workers=2,
-                             dispatch="stealing").run()
+        report = SweepRunner(poisoned_spec, workers=2).run()
         assert report["summary"]["failed_points"] == [1]
         failed = report["points"][1]
         assert failed["status"] == "failed"
@@ -266,12 +294,8 @@ class TestUnpicklableResult:
 
     def test_error_record_identical_across_modes(self, poisoned_spec):
         serial = SweepRunner(poisoned_spec, serial=True).run()
-        stealing = SweepRunner(poisoned_spec, workers=2,
-                               dispatch="stealing").run()
-        round_robin = SweepRunner(poisoned_spec, workers=2,
-                                  dispatch="round-robin").run()
+        stealing = SweepRunner(poisoned_spec, workers=2).run()
         assert canonical(serial) == canonical(stealing)
-        assert canonical(serial) == canonical(round_robin)
 
 
 class TestCrashIsolation:

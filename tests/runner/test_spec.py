@@ -7,7 +7,7 @@ import pytest
 from repro.censor import censor_families
 from repro.core.measurement import RetryPolicy
 from repro.netsim.impairment import mix_seed
-from repro.runner import ShardPlanner, SweepPoint, SweepSpec, parse_retry_policy
+from repro.runner import SweepPoint, SweepSpec, parse_retry_policy
 
 
 class TestRetryPolicyParsing:
@@ -259,39 +259,3 @@ class TestSpecLoading:
         spec = SweepSpec(name="rt", seeds=(0, 2), inject_failures={1: "exit"})
         clone = SweepSpec.from_mapping(spec.as_dict())
         assert clone.points() == spec.points()
-
-
-class TestShardPlanner:
-    def _points(self, count):
-        return SweepSpec(seeds=tuple(range(count))).points()
-
-    def test_round_robin_assignment(self):
-        shards = ShardPlanner(3).plan(self._points(8))
-        assert [s.worker_id for s in shards] == [0, 1, 2]
-        assert [[p.index for p in s.points] for s in shards] == [
-            [0, 3, 6], [1, 4, 7], [2, 5],
-        ]
-
-    def test_every_point_assigned_exactly_once(self):
-        points = self._points(11)
-        shards = ShardPlanner(4).plan(points)
-        seen = sorted(p.index for s in shards for p in s.points)
-        assert seen == [p.index for p in points]
-
-    def test_more_workers_than_points_drops_empty_shards(self):
-        shards = ShardPlanner(8).plan(self._points(3))
-        assert len(shards) == 3
-        assert all(len(s) == 1 for s in shards)
-
-    def test_single_worker_gets_everything(self):
-        shards = ShardPlanner(1).plan(self._points(5))
-        assert len(shards) == 1
-        assert len(shards[0]) == 5
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(0)
-
-    def test_plan_is_deterministic(self):
-        points = self._points(9)
-        assert ShardPlanner(4).plan(points) == ShardPlanner(4).plan(points)
