@@ -522,74 +522,6 @@ def _bench_sweep_resume_grid16() -> tuple:
     return resume, len(spec) - len(spec) // 2, "points", 0
 
 
-def _synthetic_record_rows(count: int):
-    """Deterministic measurement-record rows shaped like real campaign
-    output — every ROW_FIELDS key present, realistic value vocabulary —
-    without paying for a sweep."""
-    techniques = ("overt-http", "scan", "spam")
-    targets = ("twitter.com", "example.org", "bbc.com", "weather.gov",
-               "youtube.com")
-    verdicts = ("accessible", "blocked_rst", "dns_poisoned", "inconclusive")
-    for i in range(count):
-        censored = bool(i % 2)
-        yield {
-            "attempts": 1 + i % 3,
-            "censor": "gfc" if censored else "none",
-            "confidence": (i % 10) / 10.0,
-            "evaded": censored,
-            "latency": 0.5 + (i % 40) * 0.25,
-            "loss": (0.0, 0.02, 0.05)[i % 3],
-            "point": i // 8,
-            "reason": "",
-            "retry": "retry-3",
-            "seed": i % 4,
-            "seq": i % 8,
-            "target": targets[i % len(targets)],
-            "technique": techniques[i % len(techniques)],
-            "topology": "censored-as",
-            "vantage": "censored" if censored else "clean",
-            "verdict": verdicts[i % len(verdicts)],
-        }
-
-
-def _bench_record_sink_write() -> tuple:
-    """Atomic canonical-JSONL render of the record sink.
-
-    Prices the merge-time cost a campaign pays per row: canonical JSON
-    encoding, the temp-file write, and the ``os.replace`` swap.  Rows
-    are prebuilt so the number isolates the sink, not row construction.
-    """
-    import tempfile
-
-    from repro.results import write_records
-
-    rows = list(_synthetic_record_rows(5_000))
-    handle = tempfile.NamedTemporaryFile(suffix=".records.jsonl", delete=False)
-    handle.close()
-    path = handle.name
-    return lambda: write_records(path, "bench", rows), len(rows), "rows", 1
-
-
-def _bench_report_stream_1e5_rows() -> tuple:
-    """Streaming analysis over a 100k-row record file.
-
-    The file is rendered once in setup; each batch replays the full
-    ``repro report`` compute path — line-at-a-time JSON parse plus the
-    classification/matrix/curve/latency folds — so the number is the
-    rows/sec an operator gets out of a big campaign's record file.
-    """
-    import tempfile
-
-    from repro.results import analyze_records, iter_rows, write_records
-
-    count = 100_000
-    handle = tempfile.NamedTemporaryFile(suffix=".records.jsonl", delete=False)
-    handle.close()
-    path = handle.name
-    write_records(path, "bench", _synthetic_record_rows(count))
-    return lambda: analyze_records(iter_rows(path)), count, "rows", 1
-
-
 def _bench_censor_dispatch() -> tuple:
     """Registry indirection on the censors-axis sweep path.
 
@@ -678,8 +610,6 @@ HOT_PATHS = {
     "sweep_stealing_grid16": _bench_sweep_stealing_grid16,
     "sweep_resume_grid16": _bench_sweep_resume_grid16,
     "censor_dispatch": _bench_censor_dispatch,
-    "record_sink_write": _bench_record_sink_write,
-    "report_stream_1e5_rows": _bench_report_stream_1e5_rows,
     "population_aggregate_10k_users": _bench_population_aggregate_10k_users,
     "population_full_fidelity_1k_users": _bench_population_full_fidelity_1k_users,
 }

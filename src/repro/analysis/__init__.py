@@ -1,13 +1,7 @@
 """Analysis: metrics, CDFs, Syria log analysis, ethics arithmetic, tables."""
 
 from .cdf import EmpiricalCDF, ascii_cdf
-from .export import (
-    campaign_document,
-    records_from_jsonl,
-    result_to_record,
-    results_to_jsonl,
-    risk_to_record,
-)
+from .export import campaign_document, result_to_record, risk_to_record
 from .ethics import (
     LoadComparison,
     OpenResolverStats,
@@ -15,14 +9,7 @@ from .ethics import (
     load_comparison,
     spoofed_query_load,
 )
-from .metrics import (
-    ConfusionCounts,
-    accuracy_table_row,
-    false_block_curve,
-    link_report,
-    run_report,
-    score_results,
-)
+from .metrics import ConfusionCounts, link_report, run_report
 from .report import render_table
 from .stats import Summary, summarize_samples, wilson_interval
 from .syria import (
@@ -43,21 +30,16 @@ __all__ = [
     "SCHOMP_2013",
     "SYRIA_CENSORED_USER_FRACTION",
     "SyriaLogGenerator",
-    "accuracy_table_row",
     "analyze_logs",
     "campaign_document",
     "ascii_cdf",
-    "false_block_curve",
     "link_report",
     "load_comparison",
-    "records_from_jsonl",
     "render_table",
     "result_to_record",
-    "results_to_jsonl",
     "risk_to_record",
     "run_report",
     "Summary",
-    "score_results",
     "summarize_samples",
     "spoofed_query_load",
     "wilson_interval",

@@ -1,23 +1,23 @@
-"""Result export: OONI-style JSON records for downstream analysis.
+"""Result export: the deck's OONI-style JSON campaign document.
 
-Measurement platforms ship results as line-delimited JSON documents; this
-module serializes :class:`~repro.core.results.MeasurementResult` and
-:class:`~repro.core.risk.RiskAssessment` objects the same way so campaign
-output can leave the library without pickling Python objects.
+Measurement platforms ship results as JSON documents; this module
+serializes :class:`~repro.core.results.MeasurementResult` (with its
+``evidence``) and :class:`~repro.core.risk.RiskAssessment` objects the
+same way, so a deck run (``DeckReport.to_json``, ``repro deck``) can
+leave the library without pickling Python objects.  Sweep campaigns use
+the measurement-record rows of :mod:`repro.results.record` instead.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
-from ..core.results import MeasurementResult, Verdict
+from ..core.results import MeasurementResult, Verdict, summarize
 from ..core.risk import RiskAssessment
 
 __all__ = [
     "result_to_record",
-    "results_to_jsonl",
-    "records_from_jsonl",
     "risk_to_record",
     "campaign_document",
 ]
@@ -58,26 +58,6 @@ def risk_to_record(risk: RiskAssessment) -> Dict[str, object]:
     }
 
 
-def results_to_jsonl(results: Iterable[MeasurementResult]) -> str:
-    """Render results as line-delimited JSON."""
-    return "\n".join(json.dumps(result_to_record(r), sort_keys=True) for r in results)
-
-
-def records_from_jsonl(text: str) -> List[Dict[str, object]]:
-    """Parse line-delimited JSON back into records (schema-checked)."""
-    records = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if record.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"line {line_number}: unknown schema {record.get('schema')!r}"
-            )
-        records.append(record)
-    return records
-
-
 def campaign_document(
     results_by_technique: Dict[str, List[MeasurementResult]],
     risks: Optional[List[RiskAssessment]] = None,
@@ -94,18 +74,11 @@ def campaign_document(
         },
         "risks": [risk_to_record(r) for r in (risks or [])],
         "summary": {
-            name: _verdict_histogram(results)
+            name: summarize(results)
             for name, results in results_by_technique.items()
         },
     }
     return json.dumps(document, sort_keys=True, indent=2)
-
-
-def _verdict_histogram(results: List[MeasurementResult]) -> Dict[str, int]:
-    histogram: Dict[str, int] = {}
-    for result in results:
-        histogram[result.verdict.value] = histogram.get(result.verdict.value, 0) + 1
-    return histogram
 
 
 def _jsonable(value):

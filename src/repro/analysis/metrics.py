@@ -1,24 +1,20 @@
 """Detection metrics for measurement techniques.
 
-Scores verdicts against ground truth (the controlled censor policy) the way
-the paper's evaluation does, plus standard precision/recall for benches
-that sweep parameters, the false-block rate that motivates retrying
-policies (a lost SYN/ACK is not censorship), and per-direction link
-accounting reports with packet-conservation checks.
+:class:`ConfusionCounts` holds the blocked/accessible confusion matrix
+that :class:`~repro.results.analyze.RecordAnalysis` fills from record
+rows, with standard precision/recall and the false-block rate that
+motivates retrying policies (a lost SYN/ACK is not censorship).  Also
+here: per-direction link accounting reports with packet-conservation
+checks, folded into one run report per sweep point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
-
-from ..core.results import MeasurementResult, Verdict
+from typing import Dict, Iterable
 
 __all__ = [
     "ConfusionCounts",
-    "score_results",
-    "accuracy_table_row",
-    "false_block_curve",
     "link_report",
     "run_report",
 ]
@@ -74,62 +70,6 @@ class ConfusionCounts:
         """
         denominator = self.false_positive + self.true_negative
         return self.false_positive / denominator if denominator else 0.0
-
-
-def score_results(
-    results: Iterable[MeasurementResult],
-    ground_truth_blocked: Mapping[str, bool],
-) -> ConfusionCounts:
-    """Score results against a target -> is-blocked ground-truth map.
-
-    Targets are matched by substring so ``"twitter.com"`` ground truth
-    matches a result labelled ``"twitter.com:80"``.
-    """
-    counts = ConfusionCounts()
-    for result in results:
-        truth = None
-        for target, blocked in ground_truth_blocked.items():
-            if target in result.target:
-                truth = blocked
-                break
-        if truth is None:
-            continue
-        if result.verdict is Verdict.INCONCLUSIVE:
-            counts.inconclusive += 1
-        elif truth and result.blocked:
-            counts.true_positive += 1
-        elif truth and not result.blocked:
-            counts.false_negative += 1
-        elif not truth and result.blocked:
-            counts.false_positive += 1
-        else:
-            counts.true_negative += 1
-    return counts
-
-
-def accuracy_table_row(technique: str, counts: ConfusionCounts) -> str:
-    """One formatted row of an accuracy table."""
-    return (
-        f"{technique:<20} acc={counts.accuracy:.3f} prec={counts.precision:.3f} "
-        f"rec={counts.recall:.3f} f1={counts.f1:.3f} n={counts.total}"
-    )
-
-
-def false_block_curve(
-    loss_rates: Sequence[float],
-    run_at_loss: Callable[[float], ConfusionCounts],
-) -> List[Tuple[float, float]]:
-    """False-block rate as a function of path loss rate.
-
-    ``run_at_loss`` runs one experiment (typically a scan of known-open
-    targets over an impaired link) at the given loss rate and returns its
-    confusion counts.  The resulting ``(loss_rate, false_block_rate)``
-    points are the paper-style safety curve: a single-shot measurement's
-    curve climbs with loss while a retrying policy's stays near zero.
-    """
-    return [
-        (loss, run_at_loss(loss).false_block_rate) for loss in loss_rates
-    ]
 
 
 def link_report(links: Iterable) -> Dict[str, Dict[str, object]]:

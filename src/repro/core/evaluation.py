@@ -302,15 +302,8 @@ def _execute(
     censored: bool,
     seed: int,
     run_duration: float,
-    with_population_traffic: bool,
-    population_size: int,
 ) -> RunRecord:
-    env = build_environment(
-        censored=censored,
-        seed=seed,
-        population_size=population_size,
-        with_population_traffic=with_population_traffic,
-    )
+    env = build_environment(censored=censored, seed=seed)
     technique = factory(env)
     technique.start()
     env.run(duration=run_duration)
@@ -336,16 +329,10 @@ def evaluate_technique(
     control_targets: Optional[List[str]] = None,
     seed: int = 0,
     run_duration: float = 60.0,
-    with_population_traffic: bool = False,
-    population_size: int = 20,
 ) -> EvaluationOutcome:
     """Run ``factory``'s technique censor-on and censor-off and score it."""
-    censored_run = _execute(
-        factory, True, seed, run_duration, with_population_traffic, population_size
-    )
-    control_run = _execute(
-        factory, False, seed, run_duration, with_population_traffic, population_size
-    )
+    censored_run = _execute(factory, True, seed, run_duration)
+    control_run = _execute(factory, False, seed, run_duration)
     return EvaluationOutcome(
         technique=technique_name,
         censored_run=censored_run,

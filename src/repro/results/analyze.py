@@ -235,8 +235,14 @@ class RecordAnalysis:
                     counts.true_negative += 1
 
     def extend(self, rows: Iterable[Mapping[str, object]]) -> "RecordAnalysis":
-        for row in rows:
-            self.add(row)
+        """Fold every row; a row missing a column raises ``ValueError``."""
+        try:
+            for row in rows:
+                self.add(row)
+        except KeyError as exc:
+            raise ValueError(
+                f"record row lacks the {exc.args[0]!r} column"
+            ) from exc
         return self
 
     # -- derived views --------------------------------------------------------

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import os
 from json import loads
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
+from ..core.results import MeasurementResult
 from ..obs.export import canonical_json
 
 __all__ = [
@@ -70,17 +71,19 @@ ROW_FIELDS = (
 
 def rows_from_point(
     point: Mapping[str, object],
-    results: Iterable[Mapping[str, object]],
+    results: Iterable[MeasurementResult],
     vantage: str,
     censor: str,
     evaded: Optional[bool],
     background_bytes: int = 0,
 ) -> List[Dict[str, object]]:
-    """Build the point's record rows from its serialized results.
+    """Build the point's record rows from its technique's results.
 
-    Runs inside the worker, where the point's results (and their sim
-    timestamps) still exist; everything a row carries is a plain JSON
-    scalar so the rows cross the pool boundary and the journal
+    Runs inside the worker, where the point's
+    :class:`~repro.core.results.MeasurementResult` objects (and their
+    sim timestamps) still exist; the row is the only form in which a
+    result leaves the worker.  Everything a row carries is a plain JSON
+    scalar, so the rows cross the pool boundary and the journal
     unchanged.  ``evaded`` is the point-level surveillance outcome
     (``None`` when the topology has no MVR to evade), stamped onto every
     row so the evasion column of the Figure-1 matrix can be recovered
@@ -89,24 +92,24 @@ def rows_from_point(
     rows: List[Dict[str, object]] = []
     for seq, result in enumerate(results):
         rows.append({
-            "attempts": result["attempts"],
+            "attempts": result.attempts,
             "background_bytes": background_bytes,
             "censor": censor,
-            "confidence": result["confidence"],
+            "confidence": result.confidence,
             "evaded": evaded,
-            "latency": result["time"],
+            "latency": result.time,
             "loss": point["loss"],
             "point": point["index"],
             "population": point.get("population", 0),
-            "reason": result["detail"],
+            "reason": result.detail,
             "retry": point["retry"],
             "seed": point["seed"],
             "seq": seq,
-            "target": result["target"],
+            "target": result.target,
             "technique": point["technique"],
             "topology": point["topology"],
             "vantage": vantage,
-            "verdict": result["verdict"],
+            "verdict": result.verdict.value,
         })
     return rows
 
@@ -165,10 +168,8 @@ def summarize_rows(rows: Iterable[Mapping[str, object]]) -> Dict[str, object]:
     return {"rows": total, "by_verdict": dict(sorted(by_verdict.items()))}
 
 
-def read_header(path: str) -> Dict[str, object]:
-    """Parse and validate the record file's header line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        line = fh.readline()
+def _parse_header(path: str, line: str) -> Dict[str, object]:
+    """Validate a record file's first line; return the header object."""
     try:
         header = loads(line)
     except ValueError as exc:
@@ -183,6 +184,12 @@ def read_header(path: str) -> Dict[str, object]:
     return header
 
 
+def read_header(path: str) -> Dict[str, object]:
+    """Parse and validate the record file's header line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_header(path, fh.readline())
+
+
 def iter_rows(path: str) -> Iterator[Dict[str, object]]:
     """Stream the record file's rows, one dict at a time.
 
@@ -190,21 +197,19 @@ def iter_rows(path: str) -> Iterator[Dict[str, object]]:
     each later line is parsed and yielded individually — memory use is
     one line, independent of file size, which is what lets the analysis
     layer chew through millions of rows.  Blank trailing lines are
-    tolerated; anything else unparseable raises (record files are
-    rendered atomically, so a torn file is corruption, not a crash
-    artifact to shrug off).
+    tolerated; a line that is not a JSON object raises ``ValueError``
+    naming the file and line (record files are rendered atomically, so
+    a torn file is corruption, not a crash artifact to shrug off).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parsed = loads(header)
-        if not isinstance(parsed, dict) or parsed.get("kind") != "header":
-            raise ValueError(f"{path}: not a record file (missing header)")
-        if parsed.get("schema") != RECORD_SCHEMA:
-            raise ValueError(
-                f"{path}: record schema {parsed.get('schema')!r} "
-                f"(this reader speaks {RECORD_SCHEMA})"
-            )
-        for line in fh:
+        _parse_header(path, fh.readline())
+        for number, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            yield loads(line)
+            try:
+                row = loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not a JSON row: {exc}") from exc
+            if type(row) is not dict:
+                raise ValueError(f"{path}:{number}: record row is not a JSON object")
+            yield row

@@ -41,7 +41,9 @@ __all__ = ["CampaignStore"]
 #: 2: point records carry their measurement-record rows (``records``) —
 #: a schema-1 journal would resume into a campaign that silently renders
 #: an empty record file, so it is discarded instead.
-SCHEMA = 2
+#: 3: point records drop the ``results`` list (rows are the only form of
+#: a result), so a schema-2 journal would resume into mixed point layouts.
+SCHEMA = 3
 
 
 class CampaignStore:
@@ -104,8 +106,10 @@ class CampaignStore:
     def _load(self) -> int:
         """Parse the journal's valid prefix; return its byte length.
 
-        Stops at the first line that is torn (no trailing newline) or
-        unparseable; returns 0 — "start fresh" — when the header is
+        Stops at the first line that is torn (no trailing newline),
+        unparseable, or a point line whose ``index``/``executions`` is not
+        an int or whose ``record`` is not an object carrying that same
+        ``index``; returns 0 — "start fresh" — when the header is
         missing, malformed, from another schema, or hashes a different
         spec.
         """
@@ -131,9 +135,15 @@ class CampaignStore:
                     return 0
                 header_seen = True
             elif entry.get("kind") == "point":
-                index = int(entry["index"])
-                self.records[index] = entry["record"]
-                self.executions[index] = int(entry.get("executions", 1))
+                index = entry.get("index")
+                executions = entry.get("executions")
+                record = entry.get("record")
+                if (type(index) is not int or type(executions) is not int
+                        or type(record) is not dict
+                        or record.get("index") != index):
+                    break
+                self.records[index] = record
+                self.executions[index] = executions
             good += len(raw)
         if not header_seen:
             return 0

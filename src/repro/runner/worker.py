@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional
 from ..analysis.metrics import run_report
 from ..core.evaluation import build_environment, technique_factory
 from ..core.measurement import MeasurementContext
-from ..core.results import summarize
+from ..core.results import MeasurementResult, summarize
 from ..core.risk import assess_risk
 from ..core.scanning import ScanMeasurement, ScanTarget
 from ..netsim import WebServer, build_three_node, burst_loss_profile
@@ -43,24 +43,9 @@ def _impairment_profile(point: SweepPoint):
     )
 
 
-def _serialize_results(results) -> List[Dict[str, object]]:
-    return [
-        {
-            "target": result.target,
-            "verdict": result.verdict.value,
-            "detail": result.detail,
-            "time": result.time,
-            "samples": result.samples,
-            "attempts": result.attempts,
-            "confidence": result.confidence,
-        }
-        for result in results
-    ]
-
-
 def _record_rows(
     point: SweepPoint,
-    results: List[Dict[str, object]],
+    results: List[MeasurementResult],
     registry: MetricsRegistry,
     censor: str,
     evaded: Optional[bool],
@@ -104,12 +89,12 @@ def _run_three_node(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, o
     )
     technique.start()
     topo.sim.run(until=topo.sim.now + point.duration)
-    results = _serialize_results(technique.results)
     # No censor and no MVR anywhere in this topology: censor="none",
     # evasion not applicable.
-    rows = _record_rows(point, results, registry, censor="none", evaded=None)
+    rows = _record_rows(
+        point, technique.results, registry, censor="none", evaded=None
+    )
     payload = {
-        "results": results,
         "verdicts": summarize(technique.results),
         "technique_done": technique.done,
         "records": rows,
@@ -140,7 +125,6 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
         env.population.start(point.duration)
     technique.start()
     env.run(duration=point.duration)
-    results = _serialize_results(technique.results)
     # Point-level evasion verdict for the record rows: read-only
     # (run_analyst=False) so probing the risk model never perturbs the
     # surveillance summary the report already carries.
@@ -155,7 +139,7 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
     # vantage has nothing enforcing (every family is inert under a
     # disabled policy), so its rows keep the legacy "none".
     rows = _record_rows(
-        point, results, registry,
+        point, technique.results, registry,
         censor=point.censor_name() if censored else "none",
         evaded=risk.evaded,
         background_bytes=(
@@ -163,7 +147,6 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
         ),
     )
     payload = {
-        "results": results,
         "verdicts": summarize(technique.results),
         "technique_done": technique.done,
         "censor_events": len(env.censor.events),

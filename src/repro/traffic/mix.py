@@ -87,8 +87,6 @@ class PopulationMix:
         p2p_chunk: int = 16384,
         outside_peer_count: int = 3,
         scanner_count: int = 3,
-        synthetic_users: int = 0,
-        fidelity: str = "hybrid",
     ) -> None:
         self.topo = topo
         self.rng = rng if rng is not None else topo.sim.rng
@@ -151,41 +149,20 @@ class PopulationMix:
         )
         self._workloads = [self.web, self.dns, self.p2p, self.spam, self.scan]
 
-        # Optional tiered-fidelity synthetic population riding alongside
-        # the host-backed workloads.  Created last (after all other node
-        # additions) and seeded from private substreams, so enabling it
-        # never perturbs the draws — or the link RNG ordinals — that the
-        # host-backed workloads depend on.
-        self.population: Optional["PopulationTraffic"] = None
-        if synthetic_users:
-            from .population import PopulationTraffic
-
-            self.population = PopulationTraffic(
-                topo, users=synthetic_users, fidelity=fidelity
-            )
-
     def start(self, until: float) -> None:
         """Begin all workloads until simulated time ``until``."""
         for workload in self._workloads:
             workload.start(until)
-        if self.population is not None:
-            self.population.start(until - self.topo.sim.now)
 
     def stop(self) -> None:
         for workload in self._workloads:
             workload.stop()
-        if self.population is not None:
-            self.population.stop()
 
     def stats(self) -> Dict[str, int]:
-        snapshot = {
+        return {
             "web_requests": self.web.requests_issued,
             "dns_queries": self.dns.queries_issued,
             "p2p_transfers": self.p2p.transfers_started,
             "spam_messages": self.spam.messages_attempted,
             "scan_probes": self.scan.probes_sent,
         }
-        if self.population is not None:
-            snapshot["population_flows"] = self.population.flows_created
-            snapshot["population_bytes"] = self.population.bytes_total()
-        return snapshot

@@ -11,15 +11,26 @@ from repro.analysis import (
     SCHOMP_2013,
     SYRIA_CENSORED_USER_FRACTION,
     SyriaLogGenerator,
-    accuracy_table_row,
     analyze_logs,
     ascii_cdf,
     load_comparison,
     render_table,
-    score_results,
     spoofed_query_load,
 )
 from repro.core import MeasurementResult, Verdict
+from repro.results import RecordAnalysis, rows_from_point
+
+POINT = dict(index=0, seed=0, technique="t", topology="censored-as",
+             loss=0.0, retry="single-shot")
+
+
+def score(results, blocked, control=()):
+    """Score results the sweep's way: record rows through RecordAnalysis
+    (censored vantage, so blocked names are truly blocked)."""
+    rows = rows_from_point(POINT, results, vantage="censored", censor="gfc",
+                           evaded=None)
+    analysis = RecordAnalysis(blocked_targets=blocked, control_targets=control)
+    return analysis.extend(rows).matrix()["t"]
 
 
 class TestConfusion:
@@ -45,31 +56,32 @@ class TestConfusion:
             MeasurementResult("t", "youtube.com", Verdict.ACCESSIBLE),  # miss
             MeasurementResult("t", "weather.gov", Verdict.BLOCKED_RST),  # FP
         ]
-        truth = {"twitter.com": True, "youtube.com": True,
-                 "example.org": False, "weather.gov": False}
-        counts = score_results(results, truth)
-        assert counts.true_positive == 1
-        assert counts.false_negative == 1
-        assert counts.true_negative == 1
-        assert counts.false_positive == 1
+        cell = score(results, blocked=["twitter.com", "youtube.com"],
+                     control=["example.org", "weather.gov"])
+        # one each of TP, FN, TN, FP: recall, accuracy and false-block
+        # rate are all 1/2 over four scored rows
+        assert cell["scored"] == 4
+        assert cell["detects"] == 0.5
+        assert cell["accuracy"] == 0.5
+        assert cell["false_block_rate"] == 0.5
 
     def test_substring_target_matching(self):
         results = [MeasurementResult("t", "203.0.113.10:80", Verdict.BLOCKED_TIMEOUT)]
-        counts = score_results(results, {"203.0.113.10": True})
-        assert counts.true_positive == 1
+        cell = score(results, blocked=["203.0.113.10"])
+        assert cell["scored"] == 1
+        assert cell["detects"] == 1.0
 
     def test_unknown_targets_skipped(self):
         results = [MeasurementResult("t", "mystery.com", Verdict.ACCESSIBLE)]
-        assert score_results(results, {"twitter.com": True}).total == 0
+        assert score(results, blocked=["twitter.com"])["scored"] == 0
 
     def test_inconclusive_counted(self):
         results = [MeasurementResult("t", "twitter.com", Verdict.INCONCLUSIVE)]
-        counts = score_results(results, {"twitter.com": True})
-        assert counts.inconclusive == 1
-
-    def test_table_row(self):
-        row = accuracy_table_row("spam", ConfusionCounts(true_positive=1, true_negative=1))
-        assert "spam" in row and "acc=1.000" in row
+        cell = score(results, blocked=["twitter.com"])
+        # scored, but neither a detection nor a miss
+        assert cell["scored"] == 1
+        assert cell["detects"] is None
+        assert cell["accuracy"] == 0.0
 
 
 class TestCDF:

@@ -1,16 +1,8 @@
-"""Tests for JSON result export."""
+"""Tests for the deck's JSON campaign document."""
 
 import json
 
-import pytest
-
-from repro.analysis.export import (
-    campaign_document,
-    records_from_jsonl,
-    result_to_record,
-    results_to_jsonl,
-    risk_to_record,
-)
+from repro.analysis.export import campaign_document, result_to_record, risk_to_record
 from repro.core import MeasurementResult, RiskAssessment, Verdict
 
 
@@ -43,23 +35,6 @@ class TestResultRecord:
         for verdict in Verdict:
             record = result_to_record(result(verdict=verdict))
             assert record["verdict"] == verdict.value
-
-
-class TestJsonl:
-    def test_round_trip(self):
-        results = [result(), result(target="example.org", verdict=Verdict.ACCESSIBLE)]
-        text = results_to_jsonl(results)
-        records = records_from_jsonl(text)
-        assert len(records) == 2
-        assert records[1]["blocked"] is False
-
-    def test_blank_lines_skipped(self):
-        text = results_to_jsonl([result()]) + "\n\n"
-        assert len(records_from_jsonl(text)) == 1
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="line 1"):
-            records_from_jsonl('{"schema": "other-1"}')
 
 
 class TestRiskRecord:

@@ -10,7 +10,7 @@ retry layer.
 
 import pytest
 
-from repro.analysis import ConfusionCounts, false_block_curve, link_report, score_results
+from repro.analysis import link_report
 from repro.core import (
     MeasurementContext,
     RetryPolicy,
@@ -19,6 +19,7 @@ from repro.core import (
     Verdict,
 )
 from repro.netsim import WebServer, build_three_node, burst_loss_profile
+from repro.results import RecordAnalysis, rows_from_point
 
 
 def scan_under_burst_loss(policy, port_count=1000, marginal=0.05, seed=29):
@@ -69,11 +70,16 @@ class TestThousandPortAcceptance:
             assert entry["conserved"] is True
 
 
-def _confusion_at_loss(loss_rate: float, policy: RetryPolicy) -> ConfusionCounts:
+def _rows_at_loss(index: int, loss_rate: float, policy: RetryPolicy, retry: str):
+    """The record rows a sweep point scanning the known-open server at
+    ``loss_rate`` would produce ("server" is a ground-truth-open name)."""
     _, result = scan_under_burst_loss(
         policy, port_count=100, marginal=loss_rate, seed=31
     )
-    return score_results([result], {"server": False})
+    point = dict(index=index, seed=31, technique="scan", topology="three-node",
+                 loss=loss_rate, retry=retry)
+    return rows_from_point(point, [result], vantage="censored", censor="none",
+                           evaded=None)
 
 
 @pytest.mark.slow
@@ -82,19 +88,19 @@ class TestFalseBlockCurve:
 
     LOSS_RATES = [0.0, 0.02, 0.05, 0.10, 0.15]
 
+    def _curve(self, policy: RetryPolicy, retry: str):
+        analysis = RecordAnalysis()
+        for index, loss in enumerate(self.LOSS_RATES):
+            analysis.extend(_rows_at_loss(index, loss, policy, retry))
+        curve = analysis.false_block_curves()["scan"][retry]
+        assert [loss for loss, _rate, _n in curve] == self.LOSS_RATES
+        return [(loss, rate) for loss, rate, _n in curve]
+
     def test_retrying_curve_stays_at_zero(self):
-        curve = false_block_curve(
-            self.LOSS_RATES,
-            lambda loss: _confusion_at_loss(
-                loss, RetryPolicy(max_attempts=6, timeout=1.0)
-            ),
-        )
+        curve = self._curve(RetryPolicy(max_attempts=6, timeout=1.0), "retry-6")
         assert all(rate == 0.0 for _, rate in curve)
 
     def test_single_shot_curve_climbs_with_loss(self):
-        curve = false_block_curve(
-            self.LOSS_RATES,
-            lambda loss: _confusion_at_loss(loss, RetryPolicy.single_shot(timeout=1.0)),
-        )
+        curve = self._curve(RetryPolicy.single_shot(timeout=1.0), "single-shot")
         assert curve[0][1] == 0.0  # lossless: no false blocks
         assert any(rate > 0.0 for _, rate in curve[1:])

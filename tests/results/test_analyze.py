@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.results import RecordAnalysis, analyze_records
+from repro.results import RecordAnalysis, analyze_records, iter_rows, write_records
 
 
 def row(**overrides):
@@ -213,3 +213,19 @@ class TestDocument:
         assert doc["classification"] == []
         assert doc["matrix"] == {}
         assert doc["latency"] == {}
+
+
+class TestMalformedRows:
+    def test_missing_column_is_a_value_error_naming_it(self):
+        with pytest.raises(ValueError, match="'technique' column"):
+            analyze_records([row(), {"verdict": "accessible"}])
+        with pytest.raises(ValueError, match="'seq' column"):
+            RecordAnalysis().extend([{k: v for k, v in row().items() if k != "seq"}])
+
+    def test_missing_column_from_a_record_file(self, tmp_path):
+        path = str(tmp_path / "c.records.jsonl")
+        write_records(path, "cafe", [row()])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"verdict":"accessible"}\n')
+        with pytest.raises(ValueError, match="'technique' column"):
+            analyze_records(iter_rows(path))

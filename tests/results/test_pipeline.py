@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from repro.results import iter_rows, read_header, records_path
+from repro.results import iter_rows, read_header, records_path, write_records
 from repro.runner import CampaignStore, SweepRunner, SweepSpec
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -235,6 +235,26 @@ class TestCLIPipeline:
                        cwd=str(tmp_path), check=False)
         assert proc.returncode == 1
         assert "no record file" in proc.stderr
+
+    @pytest.mark.parametrize("body, names", [
+        ('{"verdict":"accessible"}\n', "'technique' column"),  # missing columns
+        ("[1]\n", "bad.records.jsonl:2"),  # a row that is not an object
+        (None, "bad.records.jsonl"),        # an empty file
+    ])
+    def test_report_on_malformed_records_fails_cleanly(self, tmp_path, body, names):
+        prefix = str(tmp_path / "bad")
+        path = records_path(prefix)
+        if body is None:
+            open(path, "w", encoding="utf-8").close()
+        else:
+            write_records(path, "cafe", [])
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(body)
+        proc = run_cli(["report", prefix], cwd=str(tmp_path), check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert names in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_dashboard_is_self_contained(self, tmp_path):
         spec_path = write_spec(tmp_path, vantage_spec())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import MeasurementResult, Verdict
 from repro.results import (
     RECORD_SCHEMA,
     ROW_FIELDS,
@@ -27,17 +28,15 @@ def point_dict(index=0, **overrides):
     return params
 
 
-def result_dict(target="facebook.com", verdict="blocked_rst", **overrides):
-    params = dict(target=target, verdict=verdict, detail="RST on SYN",
-                  time=1.25, samples=4, attempts=2, confidence=0.75)
-    params.update(overrides)
-    return params
+def result(target="facebook.com", verdict=Verdict.BLOCKED_RST):
+    return MeasurementResult("scan", target, verdict, detail="RST on SYN",
+                             time=1.25, samples=4, attempts=2, confidence=0.75)
 
 
 def make_rows(point_index=0, count=2):
     return rows_from_point(
         point_dict(point_index),
-        [result_dict(target=f"t{i}") for i in range(count)],
+        [result(target=f"t{i}") for i in range(count)],
         vantage="censored", censor="gfc", evaded=True,
     )
 
@@ -54,7 +53,7 @@ class TestRowsFromPoint:
 
     def test_point_and_result_fields_map_through(self):
         (row,) = rows_from_point(
-            point_dict(7), [result_dict()],
+            point_dict(7), [result()],
             vantage="clean", censor="none", evaded=None,
         )
         assert row["point"] == 7
@@ -158,6 +157,29 @@ class TestReader:
         with pytest.raises(ValueError):
             read_header(str(path_obj))
 
+    def test_non_object_row_names_path_and_line(self, tmp_path):
+        path = str(tmp_path / "c.records.jsonl")
+        write_records(path, HASH, make_rows(count=1))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[1]\n")
+        with pytest.raises(ValueError, match=f"{path}:3: .*not a JSON object"):
+            list(iter_rows(path))
+
+    def test_unparseable_row_names_path_and_line(self, tmp_path):
+        path = str(tmp_path / "c.records.jsonl")
+        write_records(path, HASH, [])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{torn\n")
+        with pytest.raises(ValueError, match=f"{path}:2: not a JSON row"):
+            list(iter_rows(path))
+
+    def test_empty_file_names_path(self, tmp_path):
+        path_obj = tmp_path / "empty.records.jsonl"
+        path_obj.write_text("")
+        for read in (read_header, lambda p: list(iter_rows(p))):
+            with pytest.raises(ValueError, match=f"{path_obj}: not a record file"):
+                read(str(path_obj))
+
     def test_blank_trailing_lines_tolerated(self, tmp_path):
         path = str(tmp_path / "c.records.jsonl")
         write_records(path, HASH, make_rows(count=1))
@@ -178,7 +200,7 @@ class TestShardUnionProperty:
         for index, count in enumerate(row_counts):
             rows = rows_from_point(
                 point_dict(index),
-                [result_dict(target=f"t{i}") for i in range(count)],
+                [result(target=f"t{i}") for i in range(count)],
                 vantage="censored", censor="gfc", evaded=False,
             )
             records.append({"index": index, "status": "ok", "records": rows})

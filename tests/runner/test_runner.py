@@ -44,7 +44,8 @@ class TestRunPoint:
         assert record["status"] == "ok"
         assert record["index"] == 0
         assert record["params"] == point.as_dict()
-        assert record["results"][0]["verdict"] == "accessible"
+        assert record["records"][0]["verdict"] == "accessible"
+        assert "results" not in record  # rows are the only result form
         assert record["report"]["metrics"]["instruments"]
         json.dumps(record)  # JSON-ready end to end
 
@@ -327,5 +328,6 @@ class TestCrashIsolation:
             a = clean_report["points"][index]
             b = crash_report["points"][index]
             # identical apart from the injected-failure param bookkeeping
-            assert a["results"] == b["results"]
+            assert a["records"] == b["records"]
+            assert "results" not in a and "results" not in b
             assert a["report"]["metrics"] == b["report"]["metrics"]

@@ -1,10 +1,14 @@
 """CampaignStore: journal format, torn tails, spec-hash invalidation."""
 
+import functools
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.runner import CampaignStore, SweepSpec
+from repro.runner import CampaignStore, SweepRunner, SweepSpec
 
 
 HASH = "0123456789abcdef"
@@ -27,7 +31,7 @@ class TestJournalFormat:
         (header,) = [json.loads(line) for line in read_lines(path)]
         assert header["kind"] == "header"
         assert header["spec_hash"] == HASH
-        assert header["schema"] == 2
+        assert header["schema"] == 3
 
     def test_append_writes_canonical_point_lines(self, tmp_path):
         path = str(tmp_path / "c.journal.jsonl")
@@ -134,6 +138,104 @@ class TestTornTail:
         store.close()
 
 
+class TestMalformedPointLines:
+    """A point line with a mistyped field ends the valid prefix exactly
+    like a torn line: loading never raises, and the lines before it
+    still resume."""
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "point"},
+        {"kind": "point", "index": "x", "executions": 1, "record": record(1)},
+        {"kind": "point", "index": 1, "executions": 1},
+        {"kind": "point", "index": 1, "executions": None, "record": record(1)},
+        {"kind": "point", "index": 1, "executions": 1, "record": [1]},
+        {"kind": "point", "index": 1, "executions": 1, "record": record(7)},
+    ])
+    def test_bad_point_line_ends_the_valid_prefix(self, tmp_path, entry):
+        path = str(tmp_path / "c.journal.jsonl")
+        with CampaignStore(path, HASH) as store:
+            store.append(record(0))
+        lines = read_lines(path)
+        tail = [json.dumps(entry), lines[1].replace('"index":0', '"index":2')]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + tail) + "\n")
+        store = CampaignStore(path, HASH, resume=True)
+        assert store.resumed
+        assert store.done() == {0}
+        assert store.executions == {0: 1}
+        store.close()
+        assert len(read_lines(path)) == 2  # the bad line and after: truncated
+
+
+@functools.lru_cache(maxsize=None)
+def real_journal_lines():
+    """The lines of a journal written by a real two-point campaign."""
+    spec = SweepSpec(name="fuzz", base_seed=3, seeds=(0, 1), loss_rates=(0.0,),
+                     retry_policies=("single-shot",), port_count=5, duration=10.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.journal.jsonl"
+        with CampaignStore(path, HASH) as store:
+            SweepRunner(spec, serial=True, store=store).run()
+        return tuple(read_lines(path))
+
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+MUTATIONS = st.tuples(
+    st.sampled_from(["drop", "retype", "drop-in-record", "retype-in-record"]),
+    st.sampled_from(["kind", "index", "executions", "record", "status"]),
+    ODD_VALUES,
+)
+
+
+def mutate(entry, kind, key, value):
+    target = entry
+    if kind.endswith("-in-record"):
+        if type(entry.get("record")) is not dict:
+            return
+        target = entry["record"]
+    if kind.startswith("drop"):
+        target.pop(key, None)
+    else:
+        target[key] = value
+
+
+class TestJournalFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_real_journal_never_raises(self, tmp_path_factory, data):
+        lines = list(real_journal_lines())
+        assert len(lines) == 3  # header + one line per point
+        entries = [json.loads(line) for line in lines]
+        mutated = data.draw(st.dictionaries(
+            st.integers(1, len(lines) - 1),
+            st.lists(MUTATIONS, min_size=1, max_size=3), min_size=1,
+        ))
+        for number, mutations in mutated.items():
+            for kind, key, value in mutations:
+                mutate(entries[number], kind, key, value)
+        path = str(tmp_path_factory.mktemp("journal") / "c.journal.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            for entry in entries:
+                fh.write(json.dumps(entry) + "\n")
+
+        store = CampaignStore(path, HASH, resume=True)
+        store.done()
+        store.close()
+        assert set(store.executions) == set(store.records)
+        for index, loaded in store.records.items():
+            assert type(loaded) is dict
+            assert loaded["index"] == index
+            assert type(store.executions[index]) is int
+        # every untouched point line before the first mutation still loads
+        for number in range(1, min(mutated)):
+            assert entries[number]["index"] in store.records
+
+
 class TestSpecHashInvalidation:
     def test_mismatched_hash_discards_checkpoint(self, tmp_path):
         path = str(tmp_path / "c.journal.jsonl")
@@ -145,6 +247,20 @@ class TestSpecHashInvalidation:
         store.close()
         header = json.loads(read_lines(path)[0])
         assert header["spec_hash"] == "feedfacefeedface"
+
+    def test_schema_2_journal_discarded_on_resume(self, tmp_path):
+        path = str(tmp_path / "c.journal.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"kind": "header", "schema": 2,
+                                 "spec_hash": HASH}) + "\n")
+            fh.write(json.dumps({"kind": "point", "index": 0, "executions": 1,
+                                 "record": dict(record(0), results=[])}) + "\n")
+        store = CampaignStore(path, HASH, resume=True)
+        assert not store.resumed
+        assert store.records == {}
+        store.close()
+        (header,) = [json.loads(line) for line in read_lines(path)]
+        assert header["schema"] == 3
 
     def test_missing_header_discards_checkpoint(self, tmp_path):
         path = str(tmp_path / "c.journal.jsonl")

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 from repro.netsim import FIDELITY_MODES, build_censored_as
-from repro.traffic import PopulationMix, PopulationTraffic
+from repro.traffic import PopulationTraffic
 
 SRC_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -105,30 +105,3 @@ class TestDeterminismProperties:
         assert schedule_digest(seed=seed, users=40, window=2.0) == \
             schedule_digest(seed=seed, users=40, fidelity=fidelity, window=2.0)
 
-
-class TestMixIntegration:
-    def test_mix_population_reproducible(self):
-        totals = []
-        for _ in range(2):
-            topo = build_censored_as(seed=17)
-            mix = PopulationMix(topo, synthetic_users=80, fidelity="aggregate")
-            mix.start(until=4.0)
-            topo.sim.run()
-            totals.append(mix.population.bytes_total())
-        assert totals[0] > 0
-        assert totals[0] == totals[1]
-
-    def test_mix_stats_carry_population_tier(self):
-        topo = build_censored_as(seed=17)
-        mix = PopulationMix(topo, synthetic_users=80, fidelity="aggregate")
-        mix.start(until=4.0)
-        topo.sim.run()
-        stats = mix.stats()
-        assert stats["population_flows"] > 0
-        assert stats["population_bytes"] == mix.population.bytes_total()
-
-    def test_mix_without_synthetic_users_unchanged(self):
-        topo = build_censored_as(seed=17)
-        mix = PopulationMix(topo)
-        assert mix.population is None
-        assert "population_flows" not in mix.stats()
