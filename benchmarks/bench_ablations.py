@@ -295,6 +295,11 @@ def test_a7_sampling_beats_single_shot_under_loss(benchmark):
                 for link in env.topo.network.links:
                     if link.connects(env.topo.border_router, env.topo.transit_router):
                         link.loss = loss
+                # The ablation's condition is "no TCP retransmission": the
+                # measurement client's stack must not hide a lost segment.
+                stack = env.ctx.client.stack
+                stack.syn_retries = 0
+                stack.max_retransmits = 0
                 overt = OvertHTTPMeasurement(env.ctx, ["example.org"])
                 # Censorship is deterministic (~100 % of samples fail)
                 # while loss is stochastic, so the sampled method can use

@@ -28,7 +28,6 @@ order) but can never schedule it into the past.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -124,22 +123,32 @@ DROPPED = PacketFate(())
 
 
 class ImpairmentModel:
-    """Base class: stateless config plus (optionally) per-path state.
+    """Base class: immutable config plus (optionally) per-path state.
 
     Subclasses implement :meth:`decide`; models holding state (burst
     machines, queues) also override :meth:`reset` so :meth:`clone`
     hands each link direction a fresh instance.
+
+    The contract :meth:`clone` relies on: configuration attributes are
+    never mutated after ``__init__`` (a clone shares them with its
+    original), and :meth:`reset` rebinds every per-path state attribute
+    to its initial value, so no mutable state is shared either.
     """
 
     def decide(self, size: int, now: float, rng: random.Random) -> Decision:
         raise NotImplementedError
 
     def reset(self) -> None:
-        """Return mutable state to its initial value (default: none)."""
+        """Rebind all per-path state to its initial value (default: none)."""
 
     def clone(self) -> "ImpairmentModel":
         """A fresh instance with identical config and pristine state."""
-        duplicate = copy.deepcopy(self)
+        duplicate = object.__new__(type(self))
+        # Attribute by attribute, not copy.copy: copying the instance dict
+        # wholesale gives the clone a slower attribute layout, and clones
+        # are what ``decide`` runs on for every packet.
+        for name, value in vars(self).items():
+            setattr(duplicate, name, value)
         duplicate.reset()
         return duplicate
 

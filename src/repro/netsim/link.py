@@ -11,7 +11,7 @@ downlink loss separately and tests can assert packet conservation
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry, active_or_none
 from .impairment import (
@@ -149,6 +149,24 @@ class _LedgerFold:
                     done.drops[reason] = count
 
 
+class _DirectionRngs(dict):
+    """direction -> its RNG stream, seeded from the link seed on the
+    direction's first draw: most directions of a topology never draw,
+    and seeding one costs more than building the link."""
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, direction: str) -> random.Random:
+        rng = self[direction] = random.Random(
+            mix_seed(self.seed, DIRECTIONS.index(direction))
+        )
+        return rng
+
+
 class Link:
     """A bidirectional link between two nodes.
 
@@ -188,13 +206,14 @@ class Link:
         self.stats: Dict[str, DirectionStats] = {
             direction: DirectionStats() for direction in DIRECTIONS
         }
-        self._rng: Dict[str, random.Random] = {
-            direction: random.Random(mix_seed(seed, index))
-            for index, direction in enumerate(DIRECTIONS)
-        }
-        self._paths: Dict[str, Optional[ImpairedPath]] = {
-            direction: None for direction in DIRECTIONS
-        }
+        #: direction -> its RNG stream, shared by the flat loss knob and
+        #: the impairment pipeline
+        self._rng: Dict[str, random.Random] = _DirectionRngs(seed)
+        #: direction -> None (clean), its pipeline, or the tuple of models
+        #: ``impair`` installed, until the direction first carries a packet
+        self._paths: Dict[
+            str, Union[None, ImpairedPath, Tuple[ImpairmentModel, ...]]
+        ] = {direction: None for direction in DIRECTIONS}
         obs = active_or_none()
         if obs is not None:
             obs.on_flush(
@@ -212,12 +231,14 @@ class Link:
 
         ``direction`` is ``"ab"``, ``"ba"``, or ``"both"``.  Models are
         cloned so each direction gets pristine state, and each pipeline
-        draws from its own deterministic RNG stream.
+        draws from its own deterministic RNG stream.  A direction builds
+        its pipeline when it first carries a packet (or is inspected):
+        clones start from reset state and model configuration is
+        immutable, so when the clone is made does not change any fate.
         """
+        models = tuple(models)
         for d in self._directions(direction):
-            self._paths[d] = ImpairedPath(
-                [model.clone() for model in models], rng=self._rng[d]
-            )
+            self._paths[d] = models
         return self
 
     def clear_impairment(self, direction: str = "both") -> None:
@@ -225,7 +246,18 @@ class Link:
             self._paths[d] = None
 
     def impairment(self, direction: str) -> Optional[ImpairedPath]:
-        return self._paths[direction]
+        path = self._paths[direction]
+        if path.__class__ is tuple:
+            path = self._build_path(direction)
+        return path
+
+    def _build_path(self, direction: str) -> ImpairedPath:
+        """Turn ``direction``'s installed models into its pipeline."""
+        path = self._paths[direction] = ImpairedPath(
+            [model.clone() for model in self._paths[direction]],
+            rng=self._rng[direction],
+        )
+        return path
 
     @staticmethod
     def _directions(direction: str) -> Iterable[str]:
@@ -274,6 +306,8 @@ class Link:
             stats.packets_carried += 1
             stats.bytes_carried += size
             return DELIVER_CLEAN
+        if path.__class__ is tuple:
+            path = self._build_path(direction)
         fate = path.traverse(size, now)
         copies = len(fate.delays)
         if not copies:

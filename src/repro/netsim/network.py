@@ -6,6 +6,10 @@ TTL decrement with ICMP time-exceeded (routers), then each attached tap in
 order — the same pipeline a packet crosses on the paper's OVS switch with
 its censor and MVR Snort instances.
 
+Next-hop tables depend only on the topology's shape, so they are computed
+once per process per shape and shared read-only by every network of that
+shape (see :func:`_routes_for`).
+
 Each node's hop cache (``_hops``) is filled lazily from the next-hop
 tables and dropped on every rebuild; a packet's wire size is computed at
 its first hop and carried along, except past taps, which may rewrite it
@@ -14,10 +18,8 @@ its first hop and carried along, except past taps, which may rewrite it
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Tuple
-
-from typing import Sequence
+from collections import OrderedDict, deque
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..packets import IPPacket
 from .engine import Simulator
@@ -42,6 +44,38 @@ def _ip_to_int(ip: str) -> int:
             raise ValueError(f"not an IPv4 address: {ip!r}")
         value = (value << 8) | octet
     return value
+
+
+#: Bound on the process-wide route cache, in (source, destination) table
+#: cells; a topology of ``n`` nodes takes ``n * n``.  A topology bigger
+#: than the whole budget is routed afresh every time, never cached.
+ROUTE_CACHE_CELLS = 1 << 16
+
+#: topology shape -> (next-hop tables, cells); least recently used first
+_ROUTE_CACHE: "OrderedDict[tuple, Tuple[Dict[str, Dict[str, str]], int]]" = OrderedDict()
+
+
+def _routes_for(shape: tuple, build) -> Dict[str, Dict[str, str]]:
+    """The next-hop tables of topology ``shape``, from the process cache
+    or from ``build()``.  The tables are shared: nobody may write to them."""
+    entry = _ROUTE_CACHE.get(shape)
+    if entry is not None:
+        _ROUTE_CACHE.move_to_end(shape)
+        return entry[0]
+    tables = build()
+    cells = len(shape[0]) ** 2
+    if cells <= ROUTE_CACHE_CELLS:
+        _ROUTE_CACHE[shape] = (tables, cells)
+        while sum(size for _, size in _ROUTE_CACHE.values()) > ROUTE_CACHE_CELLS:
+            _ROUTE_CACHE.popitem(last=False)
+    return tables
+
+
+def clear_route_cache() -> int:
+    """Drop every cached route table; returns how many were cached."""
+    count = len(_ROUTE_CACHE)
+    _ROUTE_CACHE.clear()
+    return count
 
 
 class Network:
@@ -88,7 +122,9 @@ class Network:
         self.links.clear()
         self._adjacency.clear()
         self._ip_owner.clear()
-        self._next_hop.clear()
+        # Rebind, never clear(): the tables are shared with every network
+        # of the same shape through the route cache.
+        self._next_hop = {}
         self._prefix_routes.clear()
         self._prefix_cache.clear()
         self._tap_path_cache.clear()
@@ -197,8 +233,25 @@ class Network:
         return resolved
 
     def _build_routes(self) -> None:
+        """All-pairs next-hop tables, shared per topology shape.
+
+        The shape is the node names in insertion order plus each link's
+        endpoints in insertion order: that fixes every node's adjacency
+        order, hence the BFS tie order, hence the tables.
+        """
+        shape = (
+            tuple(self.nodes),
+            tuple((link.a.name, link.b.name) for link in self.links),
+        )
+        self._next_hop = _routes_for(shape, self._bfs_routes)
+        for node in self.nodes.values():
+            node._hops = {}
+        self._routes_dirty = False
+        self._tap_path_cache.clear()
+
+    def _bfs_routes(self) -> Dict[str, Dict[str, str]]:
         """All-pairs next-hop tables via BFS (uniform edge weight)."""
-        self._next_hop = {}
+        next_hop: Dict[str, Dict[str, str]] = {}
         for source_name in self.nodes:
             table: Dict[str, str] = {}
             visited = {source_name}
@@ -216,11 +269,8 @@ class Network:
                     )
                     table[neighbor] = first_hop[neighbor]
                     queue.append(neighbor)
-            self._next_hop[source_name] = table
-        for node in self.nodes.values():
-            node._hops = {}
-        self._routes_dirty = False
-        self._tap_path_cache.clear()
+            next_hop[source_name] = table
+        return next_hop
 
     # -- path analysis (the tiered-fidelity boundary) ------------------------
 

@@ -25,6 +25,15 @@ reassembled bytes in place.  What differs per engine — sids that already
 alerted on a flow, resumable scan states, payload-option memos — lives in
 a per-engine :class:`_FlowState` on the flow record.
 
+Engines built from text share what is immutable: :meth:`RuleEngine.from_text`
+compiles each ``(ruleset text, variables)`` once per process into a tuple
+of parsed rules and their finalized dispatch index (see
+:func:`compiled_ruleset`), and every engine over the same text reads
+both.  Each engine still owns its rule list, sid map, threshold state,
+stream reader and obs labels; :meth:`RuleEngine.add_rules` builds a
+fresh index instead of writing to the shared one, and copies the shared
+automaton before extending it.
+
 Per-packet counter deltas accumulate in plain engine-local ints/dicts and
 fold into the registry every ``obs_flush_interval`` packets, at the end of
 :meth:`RuleEngine.process_batch`, and — via the registry's flush hooks —
@@ -33,7 +42,7 @@ whenever anyone reads the registry, so reported values stay exact.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,11 +54,54 @@ from .language import Rule, ThresholdSpec, parse_ruleset
 from .multipattern import MultiPatternAutomaton, StreamScanState, shared_automaton
 from .reassembly import FlowRecord, StreamReader, StreamReassembler, StreamUpdate
 
-__all__ = ["Alert", "RuleEngine"]
+__all__ = ["Alert", "RuleEngine", "compiled_ruleset", "clear_ruleset_cache"]
 
 _PROTO_OF = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
 _EMPTY_IDS: frozenset = frozenset()
+
+#: How many compiled rulesets :func:`compiled_ruleset` keeps (least
+#: recently used first out).  A sweep worker cycles through a handful —
+#: the censor ruleset per policy and the MVR ruleset.
+RULESET_CACHE_SIZE = 32
+
+#: process-wide ``(text, sorted variables) -> (rules, index)``; see
+#: :func:`compiled_ruleset`
+_RULESET_CACHE: "OrderedDict[tuple, Tuple[Tuple[Rule, ...], RuleDispatchIndex]]" = (
+    OrderedDict()
+)
+
+
+def compiled_ruleset(
+    text: str, variables: Dict[str, str]
+) -> Tuple[Tuple[Rule, ...], RuleDispatchIndex]:
+    """The parsed rules of ``text`` and their finalized dispatch index,
+    compiled once per process and shared by every engine built from it.
+
+    Sharing is sound because nothing writes to a parsed :class:`Rule`
+    except the ``_mp_required``/``_mp_anchor`` caches, which derive from
+    process-wide literal ids and so agree in every engine, and because
+    no engine writes to the index: ``add_rules`` replaces it.  Text that fails to parse raises :class:`RuleParseError` and
+    is not cached.
+    """
+    key = (text, tuple(sorted(variables.items())))
+    entry = _RULESET_CACHE.get(key)
+    if entry is not None:
+        _RULESET_CACHE.move_to_end(key)
+        return entry
+    rules = tuple(parse_ruleset(text, variables))
+    index = RuleDispatchIndex(list(rules))
+    entry = _RULESET_CACHE[key] = (rules, index)
+    if len(_RULESET_CACHE) > RULESET_CACHE_SIZE:
+        _RULESET_CACHE.popitem(last=False)
+    return entry
+
+
+def clear_ruleset_cache() -> int:
+    """Drop every compiled ruleset; returns how many were cached."""
+    count = len(_RULESET_CACHE)
+    _RULESET_CACHE.clear()
+    return count
 
 
 @dataclass
@@ -177,6 +229,8 @@ class RuleEngine:
         obs_label: str = "engine",
         obs_flush_interval: int = 64,
         trace_sample_interval: int = 64,
+        *,
+        _shared_index: Optional[RuleDispatchIndex] = None,
     ) -> None:
         self.variables = dict(variables or {})
         self.rules: List[Rule] = list(rules or [])
@@ -188,9 +242,16 @@ class RuleEngine:
         self.packets_processed = 0
         self._thresholds = _ThresholdState()
         self.use_index = use_index
-        self._index: Optional[RuleDispatchIndex] = (
-            RuleDispatchIndex(self.rules) if use_index else None
-        )
+        #: the dispatch index over ``rules``: the compiled ruleset's shared
+        #: one when built by ``from_text``, else this engine's own; never
+        #: written to (``add_rules`` replaces it)
+        self._index: Optional[RuleDispatchIndex] = None
+        if use_index:
+            self._index = (
+                _shared_index
+                if _shared_index is not None
+                else RuleDispatchIndex(self.rules)
+            )
         #: the ruleset's literal automaton (indexed engines only): the
         #: process-cached shared instance when one exists for this literal
         #: set.  Sweep workers construct an engine per point over the same
@@ -267,20 +328,25 @@ class RuleEngine:
         obs_label: str = "engine",
     ) -> "RuleEngine":
         variables = dict(variables or {})
+        rules, index = compiled_ruleset(ruleset_text, variables)
         return cls(
-            rules=parse_ruleset(ruleset_text, variables),
+            rules=rules,
             variables=variables,
             stream_depth=stream_depth,
             overlap_policy=overlap_policy,
             use_index=use_index,
             obs_label=obs_label,
+            _shared_index=index,
         )
 
     def add_rules(self, ruleset_text: str) -> None:
         added = parse_ruleset(ruleset_text, self.variables)
         self.rules.extend(added)
         if self._index is not None:
-            self._index.add(added)
+            # A fresh index, never add() in place: the current one may be
+            # the compiled ruleset's, which every engine built from the
+            # same text reads.
+            self._index = RuleDispatchIndex(self.rules)
         if self._mp is not None:
             if self._mp.shared:
                 # Copy-on-write: the automaton is the process-wide shared
