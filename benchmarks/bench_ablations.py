@@ -30,7 +30,7 @@ from repro.spoofing import SAVFilter
 from repro.surveillance import AttributionEngine, SurveillanceSystem
 
 
-def test_a1_mvr_coverage_ablation(benchmark):
+def test_a1_mvr_coverage_ablation():
     """Without the DDoS detection, the DDoS method loses its cover."""
 
     def run():
@@ -63,7 +63,7 @@ def test_a1_mvr_coverage_ablation(benchmark):
             results[label] = (technique.results[0].verdict, risk)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     rows = [[label, verdict.value, risk.attributed_alerts]
             for label, (verdict, risk) in results.items()]
     write_report("a1_mvr_coverage", render_table(
@@ -77,7 +77,7 @@ def test_a1_mvr_coverage_ablation(benchmark):
     assert results["no-ddos-rule"][1].attributed_alerts > 0
 
 
-def test_a2_censor_response_mode(benchmark):
+def test_a2_censor_response_mode():
     """Block-page censors are characterized as such, resets as resets."""
 
     def run():
@@ -92,7 +92,7 @@ def test_a2_censor_response_mode(benchmark):
             verdicts[mode] = technique.results[0].verdict
         return verdicts
 
-    verdicts = benchmark.pedantic(run, rounds=1, iterations=1)
+    verdicts = run()
     write_report("a2_censor_mode", render_table(
         ["censor mode", "characterized as"],
         [[mode, verdict.value] for mode, verdict in verdicts.items()],
@@ -102,7 +102,7 @@ def test_a2_censor_response_mode(benchmark):
     assert verdicts["block-page"] is Verdict.HTTP_BLOCKPAGE
 
 
-def test_a3_ttl_estimate_error(benchmark):
+def test_a3_ttl_estimate_error():
     """TTL over-estimation leaks SYN/ACKs to covers -> replay corruption.
 
     Censor OFF throughout: any blocked verdict is a false positive caused
@@ -130,7 +130,7 @@ def test_a3_ttl_estimate_error(benchmark):
             outcomes[error] = (false_blocked, len(technique.results))
         return outcomes
 
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = run()
     write_report("a3_ttl_error", render_table(
         ["TTL estimate error", "false-blocked flows", "total flows"],
         [[error, blocked, total] for error, (blocked, total) in outcomes.items()],
@@ -140,7 +140,7 @@ def test_a3_ttl_estimate_error(benchmark):
     assert outcomes[2][0] > 0           # +2 hops: replay RSTs corrupt flows
 
 
-def test_a4_sav_granularity(benchmark):
+def test_a4_sav_granularity():
     """Stricter SAV shrinks the spoofed crowd the measurer can hide in."""
 
     def run():
@@ -164,7 +164,7 @@ def test_a4_sav_granularity(benchmark):
                               report.entropy())
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     write_report("a4_sav_granularity", render_table(
         ["SAV policy", "spoofed packets dropped", "measurer confidence", "entropy"],
         [[label, drops, conf, ent] for label, (drops, conf, ent) in results.items()],
@@ -181,7 +181,7 @@ def test_a4_sav_granularity(benchmark):
     assert results["strict"][1] == 1.0
 
 
-def test_a5_ttl_normalization_countermeasure(benchmark):
+def test_a5_ttl_normalization_countermeasure():
     """The §4.2 countermeasure trade-off: TTL normalization defeats
     stateful mimicry but breaks legitimate hop-limited diagnostics.
     """
@@ -218,7 +218,7 @@ def test_a5_ttl_normalization_countermeasure(benchmark):
             )
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     write_report("a5_ttl_normalizer", render_table(
         ["deployment", "false-blocked flows", "total flows", "diagnostics broken"],
         [[label, blocked, total, broken]
@@ -231,7 +231,7 @@ def test_a5_ttl_normalization_countermeasure(benchmark):
     assert deployed[2] > 0             # ...at the cost of broken diagnostics
 
 
-def test_a6_low_and_slow_overt(benchmark):
+def test_a6_low_and_slow_overt():
     """Pacing ablation: a *slow* overt DNS campaign stays under the bulk-
     resolution threshold and evades too — but pays in wall-clock time.
 
@@ -260,7 +260,7 @@ def test_a6_low_and_slow_overt(benchmark):
             results[label] = (accurate, risk.attributed_alerts, elapsed)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     write_report("a6_pacing", render_table(
         ["pacing", "accurate", "attributed alerts", "campaign seconds"],
         [[label, "yes" if acc else "NO", alerts, elapsed]
@@ -274,7 +274,7 @@ def test_a6_low_and_slow_overt(benchmark):
     assert slow[2] > 20 * burst[2]       # ...at a large latency cost
 
 
-def test_a7_sampling_beats_single_shot_under_loss(benchmark):
+def test_a7_sampling_beats_single_shot_under_loss():
     """Method #3's sampling claim, quantified: on a lossy path (censor
     OFF), single-shot overt probes misreport timeouts as blocking while the
     DDoS method's majority vote over 25 samples stays correct.
@@ -316,7 +316,7 @@ def test_a7_sampling_beats_single_shot_under_loss(benchmark):
             rows.append([loss, f"{single_fp}/{trials}", f"{sampled_fp}/{trials}"])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
 
     from repro.analysis.stats import wilson_interval
 
@@ -340,7 +340,7 @@ def test_a7_sampling_beats_single_shot_under_loss(benchmark):
     assert total_single > 0
 
 
-def test_a8_censor_stream_depth(benchmark):
+def test_a8_censor_stream_depth():
     """The censor's finite reassembly (Khattak et al. [26]): content past
     the inspection depth is invisible, so a keyword buried deep in the
     request escapes the reset — and a measurement that only probes deep
@@ -372,7 +372,7 @@ def test_a8_censor_stream_depth(benchmark):
             results[depth] = outcomes
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     write_report("a8_stream_depth", render_table(
         ["censor depth", "shallow keyword", "keyword at offset ~600"],
         [[depth, out["shallow"], out["deep"]] for depth, out in results.items()],
@@ -383,7 +383,7 @@ def test_a8_censor_stream_depth(benchmark):
     assert results[8192]["deep"] == "reset"  # full-depth censor catches it
 
 
-def test_a9_fragmentation_evasion(benchmark):
+def test_a9_fragmentation_evasion():
     """Clayton et al.'s fragment evasion, as a censor-capability ablation:
     a keyword split across IP fragments passes a non-reassembling censor
     and is caught by a reassembling one.  (This is an *accuracy* hazard
@@ -446,7 +446,7 @@ def test_a9_fragmentation_evasion(benchmark):
             )
         return outcomes
 
-    outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    outcomes = run()
     write_report("a9_fragmentation", render_table(
         ["censor reassembles fragments", "keyword detections", "requests served"],
         [[str(flag), events, served] for flag, (events, served) in outcomes.items()],

@@ -56,8 +56,8 @@ def run_classification(seed: int = 9):
     return env, background, technique
 
 
-def test_e10_background_arithmetic(benchmark):
-    rows = benchmark.pedantic(run_arithmetic, rounds=1, iterations=1)
+def test_e10_background_arithmetic():
+    rows = run_arithmetic()
     report = render_table(
         ["network", "addresses", "background probes/day", "campaign probes",
          "campaign / background"],
@@ -71,10 +71,8 @@ def test_e10_background_arithmetic(benchmark):
     assert slash16[2] > slash16[3]
 
 
-def test_e10_indistinguishable_classification(benchmark):
-    env, background, technique = benchmark.pedantic(
-        run_classification, rounds=1, iterations=1
-    )
+def test_e10_indistinguishable_classification():
+    env, background, technique = run_classification()
     assert background.probes_sent > 100
     # Scan class discarded bytes exist, and include both inbound background
     # and our outbound measurement (both tripped the same detection).

@@ -41,8 +41,8 @@ def run_population(seed: int = 1, duration: float = 40.0):
     return topo, surveillance, mix
 
 
-def test_e4_mvr_and_storage_budget(benchmark):
-    topo, surveillance, mix = benchmark.pedantic(run_population, rounds=1, iterations=1)
+def test_e4_mvr_and_storage_budget():
+    topo, surveillance, mix = run_population()
     summary = surveillance.summary()
     seen = summary["bytes_seen"]
 
@@ -68,7 +68,7 @@ def test_e4_mvr_and_storage_budget(benchmark):
     assert summary["retained_fraction"] <= NSA_PROFILE.storage_fraction + 0.001
 
 
-def test_e4_retention_windows(benchmark):
+def test_e4_retention_windows():
     def run():
         topo, surveillance, _ = run_population(seed=2, duration=20.0)
         store = surveillance.store
@@ -81,14 +81,14 @@ def test_e4_retention_windows(benchmark):
         after_metadata = (len(store.content), len(store.flows))
         return before, after_content, after_metadata
 
-    before, after_content, after_metadata = benchmark.pedantic(run, rounds=1, iterations=1)
+    before, after_content, after_metadata = run()
     assert before[0] > 0 and before[1] > 0
     assert after_content[0] == 0          # content gone after 3 days
     assert after_content[1] == before[1]  # metadata survives 4 days
     assert after_metadata[1] == 0         # metadata gone after 30 days
 
 
-def test_e4_campus_profile_no_content(benchmark):
+def test_e4_campus_profile_no_content():
     def run():
         topo = build_censored_as(seed=3, population_size=8)
         surveillance = SurveillanceSystem(
@@ -102,7 +102,7 @@ def test_e4_campus_profile_no_content(benchmark):
         topo.run(duration=25.0)
         return surveillance
 
-    surveillance = benchmark.pedantic(run, rounds=1, iterations=1)
+    surveillance = run()
     # Campus: no full-content capture, but flow records and alerts exist.
     assert surveillance.store.bytes_retained == 0
     assert len(surveillance.store.flows) > 0

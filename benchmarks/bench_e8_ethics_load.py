@@ -41,8 +41,8 @@ def run_simulated_sweep(seed: int = 7, prefix: int = 24):
     return count, env.servers["dns"].queries_served
 
 
-def test_e8_load_arithmetic(benchmark):
-    comparisons = benchmark.pedantic(run_arithmetic, rounds=1, iterations=1)
+def test_e8_load_arithmetic():
+    comparisons = run_arithmetic()
 
     rows = []
     for name, cmp in comparisons.items():
@@ -67,8 +67,8 @@ def test_e8_load_arithmetic(benchmark):
     assert full.queries_per_forwarder_equivalent < 0.01
 
 
-def test_e8_simulated_sweep_load(benchmark):
-    count, served = benchmark.pedantic(run_simulated_sweep, rounds=1, iterations=1)
+def test_e8_simulated_sweep_load():
+    count, served = run_simulated_sweep()
     # Every spoofed query lands on the resolver exactly once: the load is
     # bounded and predictable (one query per address, as the paper states).
     assert count == 256

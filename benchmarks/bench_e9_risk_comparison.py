@@ -96,8 +96,8 @@ def run_comparison(seed: int = 8):
     return assessments, detected
 
 
-def test_e9_risk_comparison(benchmark):
-    assessments, detected = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+def test_e9_risk_comparison():
+    assessments, detected = run_comparison()
     report = comparison_table(assessments)
     extra = render_table(
         ["technique", "detected censorship"],

@@ -40,8 +40,8 @@ def run_residual_sweep(seed: int = 30):
     return rows
 
 
-def test_sni_filtering_matrix(benchmark):
-    technique = benchmark.pedantic(run_sni, rounds=1, iterations=1)
+def test_sni_filtering_matrix():
+    technique = run_sni()
     rows = [[r.target, r.verdict.value, r.evidence.get("control_status", "-")]
             for r in technique.results]
     write_report("sni_filtering", render_table(
@@ -57,8 +57,8 @@ def test_sni_filtering_matrix(benchmark):
     assert all(r.evidence.get("control_status") == "ok" for r in blocked)
 
 
-def test_residual_penalty_mapping(benchmark):
-    rows = benchmark.pedantic(run_residual_sweep, rounds=1, iterations=1)
+def test_residual_penalty_mapping():
+    rows = run_residual_sweep()
     write_report("residual_penalty", render_table(
         ["configured penalty (s)", "measured penalty (s)"],
         rows, title="residual flow-kill window: configured vs measured",

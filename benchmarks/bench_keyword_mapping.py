@@ -56,8 +56,8 @@ def run_probe_sweep(seed: int = 21):
     return technique
 
 
-def test_keyword_isolation_cost(benchmark):
-    rows = benchmark.pedantic(run_mapping, rounds=1, iterations=1)
+def test_keyword_isolation_cost():
+    rows = run_mapping()
     report = render_table(
         ["list size", "culprits found", "bisection probes", "linear probes"],
         rows,
@@ -71,7 +71,7 @@ def test_keyword_isolation_cost(benchmark):
             assert probes < linear
 
 
-def test_keyword_probe_recovers_censor_list(benchmark):
-    technique = benchmark.pedantic(run_probe_sweep, rounds=1, iterations=1)
+def test_keyword_probe_recovers_censor_list():
+    technique = run_probe_sweep()
     recovered = sorted(technique.censored_keywords())
     assert recovered == sorted(GFC_KEYWORDS)

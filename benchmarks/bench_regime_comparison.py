@@ -37,8 +37,8 @@ def run_regimes(seed: int = 25):
     return outcomes
 
 
-def test_regime_signatures(benchmark):
-    outcomes = benchmark.pedantic(run_regimes, rounds=1, iterations=1)
+def test_regime_signatures():
+    outcomes = run_regimes()
 
     rows = [
         [regime, dns_verdict.value, http_verdict.value]

@@ -1,57 +1,33 @@
 """Multi-seed robustness: the E1 result is not a lucky seed.
 
-Runs the accuracy/evasion evaluation for the core techniques across
-several independent seeds and asserts the matrix holds at every one.
+Runs the E1 scenario pack across five independent seeds (50 points) and
+asserts the matrix holds at every one: an evasion of 1.0 or 0.0 over ten
+points means every seed agreed.
 """
 
 from common import write_report
 
-from repro.analysis import render_table
-from repro.core import (
-    DDoSMeasurement,
-    OvertHTTPMeasurement,
-    SpamMeasurement,
-    evaluate_technique,
-)
-from repro.core.evaluation import BLOCKED_TARGETS, CONTROL_TARGETS
+from repro.results import render_matrix_text
+from repro.runner import E1_PACK, SweepSpec, analyze_spec
 
-SEEDS = [0, 101, 202, 303, 404]
-TARGETS = BLOCKED_TARGETS + CONTROL_TARGETS
+SEEDS = (0, 101, 202, 303, 404)
 
 
 def run_seeds():
-    rows = []
-    for seed in SEEDS:
-        spam = evaluate_technique(
-            lambda env: SpamMeasurement(env.ctx, TARGETS), "spam", seed=seed
-        )
-        ddos = evaluate_technique(
-            lambda env: DDoSMeasurement(env.ctx, TARGETS, requests_per_target=20),
-            "ddos", seed=seed,
-        )
-        overt = evaluate_technique(
-            lambda env: OvertHTTPMeasurement(env.ctx, TARGETS), "overt", seed=seed
-        )
-        rows.append([
-            seed,
-            spam.accuracy, "yes" if spam.evades_surveillance else "NO",
-            ddos.accuracy, "yes" if ddos.evades_surveillance else "NO",
-            overt.accuracy, "yes" if overt.evades_surveillance else "NO",
-        ])
-    return rows
+    return analyze_spec(SweepSpec.from_mapping({**E1_PACK, "seeds": list(SEEDS)}))
 
 
-def test_matrix_robust_across_seeds(benchmark):
-    rows = benchmark.pedantic(run_seeds, rounds=1, iterations=1)
-    report = render_table(
-        ["seed", "spam acc", "spam evades", "ddos acc", "ddos evades",
-         "overt acc", "overt evades"],
-        rows,
-        title="robustness: accuracy/evasion across independent seeds",
-    )
-    write_report("robustness_seeds", report)
-    for row in rows:
-        seed, spam_acc, spam_ev, ddos_acc, ddos_ev, overt_acc, overt_ev = row
-        assert spam_acc == 1.0 and spam_ev == "yes", f"seed {seed}"
-        assert ddos_acc == 1.0 and ddos_ev == "yes", f"seed {seed}"
-        assert overt_acc == 1.0 and overt_ev == "NO", f"seed {seed}"
+def test_matrix_robust_across_seeds():
+    analysis = run_seeds()
+    write_report("robustness_seeds", render_matrix_text(
+        analysis,
+        title=f"robustness: the E1 pack across seeds {list(SEEDS)}",
+    ))
+    matrix = analysis["matrix"]
+    for technique, cells in matrix.items():
+        assert cells["points"] == 2 * len(SEEDS), technique
+        assert cells["accuracy"] == 1.0, technique
+    for technique in ("scan", "spam", "ddos"):
+        assert matrix[technique]["evasion"] == 1.0, technique
+    assert matrix["overt-http"]["evasion"] == 0.5
+    assert matrix["spoofed-dns"]["evasion"] == 0.0

@@ -24,19 +24,9 @@ from .analysis import (
     render_table,
 )
 from .censor import censor_families
-from .core import (
-    DDoSMeasurement,
-    OvertHTTPMeasurement,
-    SpamMeasurement,
-    StatelessSpoofedDNSMeasurement,
-    assess_risk,
-    build_environment,
-    evaluate_technique,
-)
+from .core import assess_risk, build_environment
 from .core.evaluation import (
-    BLOCKED_TARGETS,
     BLOCKED_TARGETS_FULL,
-    CONTROL_TARGETS,
     CONTROL_TARGETS_FULL,
     TECHNIQUES,
     technique_factory as _technique_factory,
@@ -47,34 +37,26 @@ from .spoofing import BEVERLY_PROFILE, feasibility_summary, sample_scopes
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    targets = BLOCKED_TARGETS + CONTROL_TARGETS
-    factories = {
-        "overt-http": lambda env: OvertHTTPMeasurement(env.ctx, targets),
-        "scan": _technique_factory("scan", cover=args.cover),
-        "spam": lambda env: SpamMeasurement(env.ctx, targets),
-        "ddos": lambda env: DDoSMeasurement(env.ctx, targets, requests_per_target=25),
-        "spoofed-dns": lambda env: StatelessSpoofedDNSMeasurement(
-            env.ctx, targets, env.cover_ips(args.cover)
-        ),
-    }
-    rows = []
-    for name, factory in factories.items():
-        blocked = ["blocked-service"] if name == "scan" else None
-        control = ["control-service"] if name == "scan" else None
-        outcome = evaluate_technique(
-            factory, name, blocked_targets=blocked, control_targets=control,
-            seed=args.seed, run_duration=args.duration,
-        )
-        rows.append([
-            name,
-            "yes" if outcome.detects_censorship else "NO",
-            outcome.accuracy,
-            "yes" if outcome.evades_surveillance else "NO",
-            "SUCCESS" if outcome.successful else "fails-evasion",
-        ])
-    print(render_table(
-        ["technique", "detects", "accuracy", "evades", "verdict"],
-        rows, title="accuracy/evasion matrix (censor on/off)",
+    """The E1 accuracy/evasion matrix: the E1 scenario pack, run serially
+    in memory (no file is written) and scored by the same
+    :class:`~repro.results.RecordAnalysis` ``repro report`` uses."""
+    from .results import render_matrix_text
+    from .runner import E1_PACK, SweepSpec, analyze_spec
+
+    try:
+        spec = SweepSpec.from_mapping({
+            **E1_PACK,
+            "base_seed": args.seed,
+            "duration": args.duration,
+            "cover": args.cover,
+        })
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(render_matrix_text(
+        analyze_spec(spec),
+        title=(f"accuracy/evasion matrix (E1 pack, base seed {args.seed}, "
+               f"{len(spec)} points: censored and clean vantages)"),
     ))
     return 0
 
@@ -248,7 +230,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .results import records_path
     from .runner import CampaignStore, SweepRunner, SweepSpec
 
-    spec = SweepSpec.load(args.spec)
+    try:
+        spec = SweepSpec.load(args.spec)
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.spec}: {exc}", file=sys.stderr)
+        return 1
     prefix = args.resume if args.resume is not None else args.out
     store = None
     if not args.no_journal:

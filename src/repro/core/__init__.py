@@ -5,21 +5,13 @@ Section 3 (mimicking population traffic): :class:`ScanMeasurement`,
 (manipulating population traffic): :class:`StatelessSpoofedDNSMeasurement`,
 :class:`SpoofedSYNReachability`, :class:`StatefulMimicryMeasurement`.
 Baseline: :class:`OvertDNSMeasurement`, :class:`OvertHTTPMeasurement`.
-The evaluation harness in :mod:`repro.core.evaluation` scores accuracy and
-evasion exactly as the paper's controlled tests do.
+:mod:`repro.core.evaluation` builds the paper's Figure-1 environment that
+every technique is evaluated in.
 """
 
 from .ddos import DDoSMeasurement
 from .dupdetect import DuplicateResponseDetector, ResponsePair
-from .evaluation import (
-    BLOCKED_TARGETS,
-    CONTROL_TARGETS,
-    Environment,
-    EvaluationOutcome,
-    RunRecord,
-    build_environment,
-    evaluate_technique,
-)
+from .evaluation import Environment, build_environment
 from .keywords import KeywordIsolator, KeywordProbeMeasurement
 from .longitudinal import LongitudinalCampaign
 from .measurement import MeasurementContext, MeasurementTechnique, RetryPolicy
@@ -42,15 +34,12 @@ from .spoofing_stateful import MimicryServer, StatefulMimicryMeasurement, shared
 from .spoofing_stateless import SpoofedSYNReachability, StatelessSpoofedDNSMeasurement
 
 __all__ = [
-    "BLOCKED_TARGETS",
-    "CONTROL_TARGETS",
     "DDoSMeasurement",
     "DuplicateResponseDetector",
     "Environment",
     "KeywordIsolator",
     "KeywordProbeMeasurement",
     "LongitudinalCampaign",
-    "EvaluationOutcome",
     "DeckReport",
     "MeasurementCampaign",
     "MeasurementContext",
@@ -65,7 +54,6 @@ __all__ = [
     "ResponsePair",
     "RetryPolicy",
     "RiskAssessment",
-    "RunRecord",
     "ScanMeasurement",
     "ScanTarget",
     "SpamMeasurement",
@@ -79,7 +67,6 @@ __all__ = [
     "blocked_verdicts",
     "build_environment",
     "comparison_table",
-    "evaluate_technique",
     "interpret_dns",
     "shared_isn",
     "summarize",

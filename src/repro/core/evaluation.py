@@ -1,18 +1,16 @@
-"""The controlled evaluation harness (paper Section 3.2, Figure 1).
+"""The controlled evaluation environment (paper Section 3.2, Figure 1).
 
 Builds a complete environment — censored AS, censor tap, surveillance tap,
-servers — runs a technique with the censor on and off, and scores the two
-criteria the paper defines:
-
-- **accuracy**: the measurement detects blocking exactly when the censor
-  enforces it (controlled by the policy toggle);
-- **evasion**: the surveillance MVR retains no user-attributed alert for
-  the measurer.
+servers — and names the techniques that run in it.  The paper's two
+criteria, **accuracy** (detect blocking exactly when the censor enforces
+it) and **evasion** (the MVR attributes no alert to the measurer), are
+scored from record rows by :class:`~repro.results.RecordAnalysis`; the E1
+matrix is the :data:`repro.runner.E1_PACK` scenario pack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..censor import CensorModel, CensorshipPolicy, build_censor
@@ -20,23 +18,18 @@ from ..netsim.topology import CensoredASTopology, build_censored_as
 from ..surveillance import AttributionEngine, SurveillanceSystem
 from ..traffic.mix import PopulationMix, install_standard_servers
 from .measurement import MeasurementContext, MeasurementTechnique
-from .results import MeasurementResult, Verdict
-from .risk import RiskAssessment, assess_risk
 from .spoofing_stateful import MimicryServer
 
 __all__ = [
     "Environment",
     "build_environment",
-    "RunRecord",
-    "EvaluationOutcome",
-    "evaluate_technique",
     "technique_factory",
     "TECHNIQUES",
     "BLOCKED_TARGETS",
     "CONTROL_TARGETS",
 ]
 
-#: Default target split used throughout the benchmarks.
+#: A short target split for tests and examples that probe a few names.
 BLOCKED_TARGETS = ["twitter.com", "youtube.com"]
 CONTROL_TARGETS = ["example.org", "weather.gov"]
 
@@ -167,76 +160,6 @@ def build_environment(
     )
 
 
-@dataclass
-class RunRecord:
-    """One technique execution in one environment condition."""
-
-    censored: bool
-    results: List[MeasurementResult]
-    risk: RiskAssessment
-    censor_events: int
-
-    def verdict_for(self, target_substring: str) -> Optional[Verdict]:
-        for result in self.results:
-            if target_substring in result.target:
-                return result.verdict
-        return None
-
-
-@dataclass
-class EvaluationOutcome:
-    """Accuracy and evasion scores for one technique (the E1 matrix row)."""
-
-    technique: str
-    censored_run: RunRecord
-    control_run: RunRecord
-    blocked_targets: List[str]
-    control_targets: List[str]
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of (target, condition) cells judged correctly."""
-        correct = 0
-        total = 0
-        for target in self.blocked_targets:
-            verdict = self.censored_run.verdict_for(target)
-            total += 1
-            correct += int(verdict is not None and verdict.indicates_blocking)
-        for target in self.control_targets:
-            verdict = self.censored_run.verdict_for(target)
-            total += 1
-            correct += int(verdict is Verdict.ACCESSIBLE)
-        for target in self.blocked_targets + self.control_targets:
-            verdict = self.control_run.verdict_for(target)
-            total += 1
-            correct += int(verdict is Verdict.ACCESSIBLE)
-        return correct / total if total else 0.0
-
-    @property
-    def detects_censorship(self) -> bool:
-        return all(
-            (v := self.censored_run.verdict_for(t)) is not None and v.indicates_blocking
-            for t in self.blocked_targets
-        )
-
-    @property
-    def no_false_positives(self) -> bool:
-        return all(
-            self.control_run.verdict_for(t) is Verdict.ACCESSIBLE
-            for t in self.blocked_targets + self.control_targets
-        )
-
-    @property
-    def evades_surveillance(self) -> bool:
-        """Evasion in both conditions (the MVR never attributes the user)."""
-        return self.censored_run.risk.evaded and self.control_run.risk.evaded
-
-    @property
-    def successful(self) -> bool:
-        """The paper's success criterion: accurate and evasive."""
-        return self.detects_censorship and self.no_false_positives and self.evades_surveillance
-
-
 TechniqueFactory = Callable[[Environment], MeasurementTechnique]
 
 #: Technique names accepted by :func:`technique_factory` (and the CLI).
@@ -296,47 +219,3 @@ def technique_factory(name: str, cover: int = 8) -> TechniqueFactory:
         return factory
     raise ValueError(f"unknown technique: {name}")
 
-
-def _execute(
-    factory: TechniqueFactory,
-    censored: bool,
-    seed: int,
-    run_duration: float,
-) -> RunRecord:
-    env = build_environment(censored=censored, seed=seed)
-    technique = factory(env)
-    technique.start()
-    env.run(duration=run_duration)
-    risk = assess_risk(
-        env.surveillance,
-        technique=technique.name,
-        measurer_user=env.topo.measurement_client.user or "measurer",
-        measurer_ip=env.topo.measurement_client.ip,
-        now=env.sim.now,
-    )
-    return RunRecord(
-        censored=censored,
-        results=list(technique.results),
-        risk=risk,
-        censor_events=len(env.censor.events),
-    )
-
-
-def evaluate_technique(
-    factory: TechniqueFactory,
-    technique_name: str,
-    blocked_targets: Optional[List[str]] = None,
-    control_targets: Optional[List[str]] = None,
-    seed: int = 0,
-    run_duration: float = 60.0,
-) -> EvaluationOutcome:
-    """Run ``factory``'s technique censor-on and censor-off and score it."""
-    censored_run = _execute(factory, True, seed, run_duration)
-    control_run = _execute(factory, False, seed, run_duration)
-    return EvaluationOutcome(
-        technique=technique_name,
-        censored_run=censored_run,
-        control_run=control_run,
-        blocked_targets=list(blocked_targets or BLOCKED_TARGETS),
-        control_targets=list(control_targets or CONTROL_TARGETS),
-    )

@@ -23,7 +23,12 @@ from .record import (
     summarize_rows,
     write_records,
 )
-from .report import build_analysis, records_path, render_report_text
+from .report import (
+    build_analysis,
+    records_path,
+    render_matrix_text,
+    render_report_text,
+)
 
 __all__ = [
     "RECORD_SCHEMA",
@@ -35,6 +40,7 @@ __all__ = [
     "read_header",
     "records_path",
     "render_dashboard",
+    "render_matrix_text",
     "render_report_text",
     "rows_from_point",
     "summarize_rows",

@@ -17,7 +17,12 @@ from ..analysis.report import render_table
 from .analyze import RecordAnalysis
 from .record import iter_rows
 
-__all__ = ["records_path", "build_analysis", "render_report_text"]
+__all__ = [
+    "records_path",
+    "build_analysis",
+    "render_matrix_text",
+    "render_report_text",
+]
 
 
 def records_path(prefix: str) -> str:
@@ -37,6 +42,39 @@ def _fmt(value, places: int = 3) -> str:
     if isinstance(value, float):
         return f"{value:.{places}f}"
     return str(value)
+
+
+def _success(cells: Dict[str, object]) -> str:
+    """The paper's success criterion (Section 3.2): detect every blocked
+    target, false-block nothing, never be attributed ('-': not judgeable)."""
+    if cells["detects"] is None or cells["evasion"] is None:
+        return "-"
+    if cells["detects"] < 1.0 or cells["false_block_rate"] > 0.0:
+        return "fails-accuracy"
+    return "SUCCESS" if cells["evasion"] == 1.0 else "fails-evasion"
+
+
+def render_matrix_text(
+    analysis: Dict[str, object],
+    title: str = "\naccuracy/evasion matrix (Figure-1 criteria, from records)",
+) -> str:
+    """The per-technique accuracy/evasion matrix as one text table."""
+    matrix_rows = [
+        [
+            technique,
+            _fmt(cells["detects"]), _fmt(cells["accuracy"]),
+            _fmt(cells["false_block_rate"]), _fmt(cells["evasion"]),
+            _fmt(cells["mean_attempts"], 2), _fmt(cells["mean_confidence"]),
+            cells["rows"], _success(cells),
+        ]
+        for technique, cells in analysis["matrix"].items()
+    ]
+    return render_table(
+        ["technique", "detects", "accuracy", "false-block", "evasion",
+         "attempts", "conf", "rows", "verdict"],
+        matrix_rows,
+        title=title,
+    )
 
 
 def render_report_text(analysis: Dict[str, object], title: str = "") -> str:
@@ -74,22 +112,7 @@ def render_report_text(analysis: Dict[str, object], title: str = "") -> str:
         title="\nvantage-differential classification (rows: blocked/accessible/inconclusive)",
     ))
 
-    matrix_rows = [
-        [
-            technique,
-            _fmt(cells["detects"]), _fmt(cells["accuracy"]),
-            _fmt(cells["false_block_rate"]), _fmt(cells["evasion"]),
-            _fmt(cells["mean_attempts"], 2), _fmt(cells["mean_confidence"]),
-            cells["rows"],
-        ]
-        for technique, cells in analysis["matrix"].items()
-    ]
-    sections.append(render_table(
-        ["technique", "detects", "accuracy", "false-block", "evasion",
-         "attempts", "conf", "rows"],
-        matrix_rows,
-        title="\naccuracy/evasion matrix (Figure-1 criteria, from records)",
-    ))
+    sections.append(render_matrix_text(analysis))
 
     censor_rows = []
     for censor, by_technique in analysis.get("censor_matrix", {}).items():

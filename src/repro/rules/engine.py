@@ -31,8 +31,7 @@ of parsed rules and their finalized dispatch index (see
 :func:`compiled_ruleset`), and every engine over the same text reads
 both.  Each engine still owns its rule list, sid map, threshold state,
 stream reader and obs labels; :meth:`RuleEngine.add_rules` builds a
-fresh index instead of writing to the shared one, and copies the shared
-automaton before extending it.
+fresh index and a fresh automaton instead of writing to the shared ones.
 
 Per-packet counter deltas accumulate in plain engine-local ints/dicts and
 fold into the registry every ``obs_flush_interval`` packets, at the end of
@@ -257,7 +256,7 @@ class RuleEngine:
         #: set.  Sweep workers construct an engine per point over the same
         #: handful of rulesets; the cache turns every rebuild after the
         #: first into a dictionary lookup (see ``shared_automaton``).
-        #: ``add_rules`` copies-on-write before extending a shared instance.
+        #: ``add_rules`` replaces it; it is never written to.
         self._mp: Optional[MultiPatternAutomaton] = (
             shared_automaton(self.rules) if use_index else None
         )
@@ -348,26 +347,17 @@ class RuleEngine:
             # same text reads.
             self._index = RuleDispatchIndex(self.rules)
         if self._mp is not None:
-            if self._mp.shared:
-                # Copy-on-write: the automaton is the process-wide shared
-                # instance for this literal set, and extending it in place
-                # would mutate every sibling engine built from the same
-                # ruleset.  Build a private replacement over the full
-                # (already-extended) ruleset, seeded with the shared
-                # instance's version so the replacement's post-finalize
-                # version strictly exceeds any per-flow scan state saved
-                # against the old automaton — those states rescan on
-                # their next packet instead of resuming a stale DFA walk.
-                replacement = MultiPatternAutomaton()
-                replacement.version = self._mp.version
-                replacement.add_rules(self.rules)
-                self._mp = replacement
-            else:
-                # Extends the automaton incrementally; the next scan
-                # refreshes the DFA tables and bumps the version, which
-                # invalidates every saved per-flow scan state (they rescan
-                # against the new automaton on the next packet).
-                self._mp.add_rules(added)
+            # A private replacement over the full (already-extended)
+            # ruleset, never an in-place extension: the current automaton
+            # may be the process-wide cached one every sibling engine
+            # reads.  Seeding it with the old version makes its
+            # post-finalize version exceed any per-flow scan state saved
+            # against the old automaton, so those states rescan on their
+            # next packet instead of resuming a stale DFA walk.
+            replacement = MultiPatternAutomaton()
+            replacement.version = self._mp.version
+            replacement.add_rules(self.rules)
+            self._mp = replacement
         for rule in added:
             self._by_sid[rule.sid] = rule
             if self._obs is not None:

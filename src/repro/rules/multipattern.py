@@ -160,8 +160,8 @@ def anchor_literal_id(rule) -> Optional[int]:
 #: per point.  The automaton's matching behavior is a pure function of its
 #: literal set, so any two rulesets with the same literals can share one
 #: instance; sharing is safe because scans never mutate a finalized
-#: automaton, and engines that *extend* their ruleset copy-on-write (see
-#: :meth:`RuleEngine.add_rules`).
+#: automaton, and engines that *extend* their ruleset build a private
+#: replacement (see :meth:`RuleEngine.add_rules`).
 _AUTOMATON_CACHE: Dict[Tuple[int, ...], "MultiPatternAutomaton"] = {}
 
 
@@ -171,10 +171,10 @@ def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
     The cache key is the sorted tuple of interned literal ids the rules
     require — global interning dedupes ``(needle, nocase)`` pairs, so two
     rulesets with identical literal content map to the same key even if
-    they interned in different orders.  On a miss the automaton is built,
-    finalized immediately (so its version is stable from the first scan),
-    and marked ``shared``; engines must treat a shared instance as
-    immutable and replace it instead of extending it.
+    they interned in different orders.  On a miss the automaton is built
+    and finalized immediately (so its version is stable from the first
+    scan); engines must treat a cached instance as immutable and replace
+    it instead of extending it.
 
     Per-rule caches (``_mp_required``/``_mp_anchor``) are warmed here even
     on a hit, because hit-path callers skip :meth:`add_rules`.
@@ -192,7 +192,6 @@ def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
         automaton = MultiPatternAutomaton()
         automaton.add_rules(rule_list)
         automaton.ensure_ready()
-        automaton.shared = True
         _AUTOMATON_CACHE[key] = automaton
     return automaton
 
@@ -273,10 +272,6 @@ class MultiPatternAutomaton:
         self.version = 0
         #: every interned id this automaton contains
         self._known_ids: set = set()
-        #: True when this instance lives in the process-wide cache
-        #: (:func:`shared_automaton`) — holders must copy-on-write instead
-        #: of extending it in place.
-        self.shared = False
 
     # -- construction ----------------------------------------------------------
 

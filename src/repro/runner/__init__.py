@@ -12,19 +12,21 @@ uninterrupted serial run.  See ``docs/ARCHITECTURE.md`` ("The sweep
 runner" / "Resumable campaigns") for the design.
 """
 
-from .runner import SweepRunner
+from .runner import SweepRunner, analyze_spec
 from .shard import QueuePlanner, estimate_cost
-from .spec import TOPOLOGIES, SweepPoint, SweepSpec, parse_retry_policy
+from .spec import E1_PACK, TOPOLOGIES, SweepPoint, SweepSpec, parse_retry_policy
 from .store import CampaignStore
 from .worker import run_point, run_shard
 
 __all__ = [
     "CampaignStore",
+    "E1_PACK",
     "QueuePlanner",
     "SweepPoint",
     "SweepSpec",
     "SweepRunner",
     "TOPOLOGIES",
+    "analyze_spec",
     "estimate_cost",
     "parse_retry_policy",
     "run_point",

@@ -57,13 +57,14 @@ from typing import Callable, Dict, Iterator, List, Optional
 from ..analysis.metrics import run_report
 from ..obs import MetricsRegistry
 from ..obs.export import write_json
+from ..results.analyze import RecordAnalysis
 from ..results.record import summarize_rows, write_records
 from .shard import QueuePlanner
 from .spec import SweepPoint, SweepSpec
 from .store import CampaignStore
 from .worker import run_shard
 
-__all__ = ["SweepRunner"]
+__all__ = ["SweepRunner", "analyze_spec"]
 
 
 class SweepRunner:
@@ -380,3 +381,17 @@ class SweepRunner:
             and sink["by_verdict"] == dict(sorted(verdicts.items()))
         )
         return sink
+
+
+def analyze_spec(spec: SweepSpec) -> Dict[str, object]:
+    """Run ``spec`` serially in memory, writing no file, and score its
+    record rows with the :class:`RecordAnalysis` ``repro report`` uses: the
+    document equals ``repro sweep`` then ``repro report --json``.  Raises
+    ``RuntimeError`` naming the failed points if any point failed."""
+    runner = SweepRunner(spec, serial=True)
+    report = runner.run()
+    failed = report["summary"]["failed_points"]
+    if failed:
+        raise RuntimeError(f"sweep {spec.name!r}: points {failed} failed")
+    rows = runner._iter_record_rows(report["points"])
+    return RecordAnalysis().extend(rows).as_dict()

@@ -17,7 +17,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..censor import censor_families
@@ -25,7 +27,14 @@ from ..core.evaluation import TECHNIQUES
 from ..core.measurement import RetryPolicy
 from ..netsim.impairment import mix_seed
 
-__all__ = ["SweepPoint", "SweepSpec", "TOPOLOGIES", "VANTAGES", "parse_retry_policy"]
+__all__ = [
+    "E1_PACK",
+    "SweepPoint",
+    "SweepSpec",
+    "TOPOLOGIES",
+    "VANTAGES",
+    "parse_retry_policy",
+]
 
 #: Topologies a sweep point can run in.  ``three-node`` is the minimal
 #: client–middlebox–server path (scan-only, cheap — the false-block-curve
@@ -42,6 +51,22 @@ THREE_NODE_TECHNIQUES = ("scan",)
 #: scenario measured from both vantages, which is what the
 #: vantage-differential classifier in :mod:`repro.results` consumes.
 VANTAGES = ("censored", "clean")
+
+#: The paper's E1 accuracy/evasion matrix (Section 3.2, Figure 1) as a
+#: scenario pack: each technique it evaluates, from both vantages of the
+#: censored AS.  Build a spec with ``SweepSpec.from_mapping({**E1_PACK,
+#: ...})``; ``repro matrix`` overrides ``base_seed``, ``duration`` and
+#: ``cover``, the robustness claim ``seeds``.
+E1_PACK: Mapping[str, object] = MappingProxyType({
+    "name": "e1-matrix",
+    "techniques": ["overt-http", "scan", "spam", "ddos", "spoofed-dns"],
+    "topologies": ["censored-as"],
+    "loss_rates": [0.0],
+    "retry_policies": ["single-shot"],
+    "vantages": ["censored", "clean"],
+    "duration": 60.0,
+    "cover": 8,
+})
 
 
 def parse_retry_policy(name: str, timeout: float = 1.0) -> RetryPolicy:
@@ -63,6 +88,69 @@ def parse_retry_policy(name: str, timeout: float = 1.0) -> RetryPolicy:
     raise ValueError(
         f"unknown retry policy {name!r} (expected 'single-shot' or 'retry-N')"
     )
+
+
+def _is(kind: type, value: object) -> bool:
+    """Whether a JSON value is of ``kind``; ``float`` means any finite number."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        finite = isinstance(value, float) and math.isfinite(value)
+        return finite or isinstance(value, int)
+    return isinstance(value, kind)
+
+
+#: kind -> (one such value, several), for error messages
+_KINDS = {
+    int: ("an integer", "integers"),
+    float: ("a finite number", "finite numbers"),
+    str: ("a string", "strings"),
+    bool: ("true or false", "booleans"),
+}
+
+#: The JSON shape of every spec key: (kind, container), where the
+#: container is None for one value, ``list`` for a list of values, or
+#: ``dict`` for a map from grid index to value.  Checked before any value
+#: is used, so a malformed key is a ``ValueError`` that names it.
+_SHAPES = {
+    "name": (str, None),
+    "base_seed": (int, None),
+    "seeds": (int, list),
+    "techniques": (str, list),
+    "topologies": (str, list),
+    "loss_rates": (float, list),
+    "retry_policies": (str, list),
+    "vantages": (str, list),
+    "censors": (str, list),
+    "populations": (int, list),
+    "burst": (float, None),
+    "duration": (float, None),
+    "port_count": (int, None),
+    "censored": (bool, None),
+    "cover": (int, None),
+    "inject_failures": (str, dict),
+    "inject_delays": (float, dict),
+}
+
+
+def _check_shape(key: str, value: object) -> None:
+    kind, container = _SHAPES[key]
+    if container is list:
+        ok = isinstance(value, (list, tuple)) and all(_is(kind, v) for v in value)
+        expected = f"a list of {_KINDS[kind][1]}"
+    elif container is dict:
+        # JSON object keys are strings: accept decimal ones as indexes.
+        ok = isinstance(value, Mapping) and all(
+            (_is(int, index) or (_is(str, index) and index.isdecimal()))
+            and _is(kind, item)
+            for index, item in value.items()
+        )
+        expected = f"a map from grid index to {_KINDS[kind][1]}"
+    else:
+        ok = _is(kind, value)
+        expected = _KINDS[kind][0]
+    if not ok:
+        raise ValueError(f"{key} must be {expected} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -191,6 +279,8 @@ class SweepSpec:
     inject_delays: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for key in _SHAPES:
+            _check_shape(key, getattr(self, key))
         self.seeds = tuple(self.seeds)
         self.techniques = tuple(self.techniques)
         self.topologies = tuple(self.topologies)
@@ -198,7 +288,7 @@ class SweepSpec:
         self.retry_policies = tuple(self.retry_policies)
         self.vantages = tuple(self.vantages)
         self.censors = tuple(self.censors)
-        self.populations = tuple(int(count) for count in self.populations)
+        self.populations = tuple(self.populations)
         self.inject_failures = {
             int(index): mode for index, mode in dict(self.inject_failures).items()
         }
@@ -216,66 +306,82 @@ class SweepSpec:
         for technique in self.techniques:
             if technique not in TECHNIQUES:
                 raise ValueError(
-                    f"unknown technique {technique!r} (choose from {TECHNIQUES})"
+                    f"techniques: unknown technique {technique!r} "
+                    f"(choose from {TECHNIQUES})"
                 )
         for topology in self.topologies:
             if topology not in TOPOLOGIES:
                 raise ValueError(
-                    f"unknown topology {topology!r} (choose from {TOPOLOGIES})"
+                    f"topologies: unknown topology {topology!r} "
+                    f"(choose from {TOPOLOGIES})"
                 )
         if "three-node" in self.topologies:
             unsupported = [t for t in self.techniques
                            if t not in THREE_NODE_TECHNIQUES]
             if unsupported:
                 raise ValueError(
-                    f"three-node topology only supports {THREE_NODE_TECHNIQUES}; "
-                    f"got {unsupported} (use topology 'censored-as' for these)"
+                    f"techniques: three-node topology only supports "
+                    f"{THREE_NODE_TECHNIQUES}; got {unsupported} (use topology "
+                    f"'censored-as' for these)"
                 )
         for loss in self.loss_rates:
             if not 0.0 <= loss < 1.0:
-                raise ValueError(f"loss rate {loss} outside [0, 1)")
+                raise ValueError(f"loss_rates: loss rate {loss} outside [0, 1)")
         for policy in self.retry_policies:
-            parse_retry_policy(policy)  # raises on bad names
+            try:
+                parse_retry_policy(policy)
+            except ValueError as exc:
+                raise ValueError(f"retry_policies: {exc}") from None
         for vantage in self.vantages:
             if vantage not in VANTAGES:
                 raise ValueError(
-                    f"unknown vantage {vantage!r} (choose from {VANTAGES})"
+                    f"vantages: unknown vantage {vantage!r} "
+                    f"(choose from {VANTAGES})"
                 )
         if "censored" in self.vantages and "three-node" in self.topologies:
             raise ValueError(
-                "the 'censored' vantage needs the censored-as topology; "
+                "vantages: the 'censored' vantage needs the censored-as topology; "
                 "three-node paths have no censor to enforce"
             )
         known_censors = censor_families()
         for censor in self.censors:
             if censor not in known_censors:
                 raise ValueError(
-                    f"unknown censor family {censor!r} "
+                    f"censors: unknown censor family {censor!r} "
                     f"(choose from {known_censors})"
                 )
         if self.censors and "three-node" in self.topologies:
             raise ValueError(
-                "the censors axis needs the censored-as topology; "
+                "censors: the censors axis needs the censored-as topology; "
                 "three-node paths have no censor tap to swap"
             )
         for count in self.populations:
             if count < 0:
-                raise ValueError(f"population sizes must be >= 0 (got {count})")
+                raise ValueError(
+                    f"populations: population sizes must be >= 0 (got {count})"
+                )
         if any(self.populations) and "three-node" in self.topologies:
             raise ValueError(
-                "the populations axis needs the censored-as topology; "
+                "populations: the populations axis needs the censored-as topology; "
                 "three-node paths have nowhere to attach the population gateways"
             )
         for mode in self.inject_failures.values():
             if mode not in ("exception", "exit", "unpicklable"):
-                raise ValueError(f"unknown fail mode {mode!r}")
+                raise ValueError(f"inject_failures: unknown fail mode {mode!r}")
         for delay in self.inject_delays.values():
             if delay < 0:
                 raise ValueError(f"inject_delays values must be >= 0 (got {delay})")
         if self.duration <= 0:
-            raise ValueError("duration must be positive")
+            raise ValueError(f"duration must be positive (got {self.duration})")
         if self.port_count < 1:
-            raise ValueError("port_count must be >= 1")
+            raise ValueError(f"port_count must be >= 1 (got {self.port_count})")
+        if self.cover < 0:
+            raise ValueError(f"cover must be >= 0 (got {self.cover})")
+        if self.burst < 1:
+            raise ValueError(
+                f"burst is a mean burst length in packets: must be >= 1 "
+                f"(got {self.burst})"
+            )
 
     def __len__(self) -> int:
         return (len(self.seeds) * len(self.techniques) * len(self.topologies)
@@ -373,6 +479,13 @@ class SweepSpec:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> "SweepSpec":
+        """Build a spec from parsed JSON/TOML; a malformed key raises
+        ``ValueError`` naming it."""
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"a sweep spec must be a mapping of keys to values "
+                f"(got {type(data).__name__})"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -82,6 +82,11 @@ class TestMatrixCommand:
         assert "fails-evasion" in out  # the overt baseline row
 
 
+    def test_matrix_rejects_negative_cover(self, capsys):
+        assert main(["matrix", "--cover", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: cover must be >= 0")
+
+
 class TestDeckCommand:
     def test_deck_stealthy(self, capsys):
         assert main(["deck", "--posture", "stealthy", "--duration", "60",
@@ -119,3 +124,19 @@ class TestSweepArgumentValidation:
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
         assert not (tmp_path / "campaign.journal.jsonl").exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("body, names", [
+        ('{"seeds": 5}', "seeds"),
+        ('{"techniques": "scan"}', "techniques"),
+        ('{"cover": -3}', "cover"),
+        ('{"seeds": [', "spec.json"),
+    ])
+    def test_malformed_spec_is_one_error_line(self, tmp_path, capsys, body, names):
+        spec = tmp_path / "spec.json"
+        spec.write_text(body)
+        assert main(["sweep", str(spec), "--serial",
+                     "--out", str(tmp_path / "campaign")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert names in err
+        assert list(tmp_path.iterdir()) == [spec]

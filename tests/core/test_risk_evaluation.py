@@ -1,4 +1,4 @@
-"""Tests for the risk model and the accuracy/evasion evaluation harness."""
+"""Tests for the risk model, the evaluation environment, and E1 scoring."""
 
 import pytest
 
@@ -9,13 +9,13 @@ from repro.core import (
     Verdict,
     assess_risk,
     comparison_table,
-    evaluate_technique,
 )
 from repro.core.evaluation import (
     BLOCKED_TARGETS,
     CONTROL_TARGETS,
     build_environment,
 )
+from repro.runner import E1_PACK, SweepSpec, analyze_spec, run_point
 
 
 class TestRiskAssessment:
@@ -71,36 +71,42 @@ class TestAssessRisk:
         assert not risk.investigated
 
 
+def _pack(technique):
+    """One technique of the E1 pack at base seed 51: two points, one per
+    vantage."""
+    return SweepSpec.from_mapping(
+        {**E1_PACK, "techniques": [technique], "base_seed": 51}
+    )
+
+
 class TestEvaluateTechnique:
+    """One E1 row, scored the way every campaign is scored."""
+
     def test_spam_outcome_fully_successful(self):
-        outcome = evaluate_technique(
-            lambda env: SpamMeasurement(env.ctx, BLOCKED_TARGETS + CONTROL_TARGETS),
-            "spam", seed=51,
-        )
-        assert outcome.accuracy == 1.0
-        assert outcome.detects_censorship
-        assert outcome.no_false_positives
-        assert outcome.evades_surveillance
-        assert outcome.successful
+        row = analyze_spec(_pack("spam"))["matrix"]["spam"]
+        assert row["accuracy"] == 1.0
+        assert row["detects"] == 1.0
+        assert row["false_block_rate"] == 0.0
+        assert row["evasion"] == 1.0
 
     def test_overt_outcome_accurate_but_not_evasive(self):
-        outcome = evaluate_technique(
-            lambda env: OvertHTTPMeasurement(env.ctx, BLOCKED_TARGETS + CONTROL_TARGETS),
-            "overt-http", seed=51,
-        )
-        assert outcome.accuracy == 1.0
-        assert not outcome.evades_surveillance
-        assert not outcome.successful
+        row = analyze_spec(_pack("overt-http"))["matrix"]["overt-http"]
+        assert row["accuracy"] == 1.0
+        assert row["evasion"] < 1.0
 
     def test_run_records_expose_verdicts(self):
-        outcome = evaluate_technique(
-            lambda env: SpamMeasurement(env.ctx, BLOCKED_TARGETS + CONTROL_TARGETS),
-            "spam", seed=51,
-        )
-        assert outcome.censored_run.verdict_for("twitter.com").indicates_blocking
-        assert outcome.control_run.verdict_for("twitter.com") is Verdict.ACCESSIBLE
-        assert outcome.censored_run.censor_events > 0
-        assert outcome.control_run.censor_events == 0
+        censored, clean = (run_point(p.as_dict()) for p in _pack("spam").points())
+        assert (censored["params"]["vantage"], clean["params"]["vantage"]) \
+            == ("censored", "clean")
+
+        def verdict(record, target):
+            (row,) = [r for r in record["records"] if r["target"] == target]
+            return row["verdict"]
+
+        assert Verdict(verdict(censored, "twitter.com")).indicates_blocking
+        assert verdict(clean, "twitter.com") == Verdict.ACCESSIBLE.value
+        assert censored["censor_events"] > 0
+        assert clean["censor_events"] == 0
 
 
 class TestBuildEnvironment:

@@ -50,6 +50,27 @@ class TestStatelessSpoofedDNS:
         assert report.confidence("measurer") <= 1.0 / 10
         assert report.entropy() > 3.0
 
+    @pytest.mark.parametrize("censored", [True, False], ids=["censored", "clean"])
+    @pytest.mark.parametrize("blocked, sids", [(7, []), (8, [3000900])])
+    def test_bulk_resolution_boundary(self, censored, blocked, sids):
+        """Why the E1 pack's spoofed-dns row fails evasion: the MVR's
+        bulk-resolution rule (sid 3000900, eight censored names in 60 s by
+        source) attributes the measurer once it resolves eight blocked
+        names, at either vantage and whatever cover it spoofs; at seven it
+        stays unattributed.  The pack resolves all ten."""
+        from repro.core.evaluation import BLOCKED_TARGETS_FULL, CONTROL_TARGETS_FULL
+
+        env = build_environment(censored=censored, seed=0)
+        technique = StatelessSpoofedDNSMeasurement(
+            env.ctx,
+            list(BLOCKED_TARGETS_FULL)[:blocked] + CONTROL_TARGETS_FULL,
+            env.cover_ips(8),
+        )
+        technique.start()
+        env.run(duration=60.0)
+        attributed = env.surveillance.attributed_alerts_for_user("measurer")
+        assert [stored.alert.sid for stored in attributed] == sids
+
     def test_spoofed_queries_blocked_by_strict_sav(self):
         from repro.spoofing import SAVFilter
 

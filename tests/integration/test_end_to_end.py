@@ -2,7 +2,8 @@
 
 Each test here is a miniature of one evaluation experiment, run through the
 full stack (packets -> simulator -> censor -> surveillance -> technique ->
-risk model) with no mocking anywhere.
+risk model) with no mocking anywhere.  The E1 matrix lives in
+``tests/claims/test_e1_matrix.py``.
 """
 
 import pytest
@@ -11,13 +12,10 @@ from repro.core import (
     DDoSMeasurement,
     MeasurementCampaign,
     OvertHTTPMeasurement,
-    ScanMeasurement,
-    ScanTarget,
     SpamMeasurement,
     StatelessSpoofedDNSMeasurement,
     Verdict,
     assess_risk,
-    evaluate_technique,
 )
 from repro.core.evaluation import (
     BLOCKED_TARGETS,
@@ -29,48 +27,6 @@ from repro.core.evaluation import (
 
 
 TARGETS = BLOCKED_TARGETS + CONTROL_TARGETS
-
-
-class TestE1Matrix:
-    """Every stealthy method must be accurate AND evasive (paper §3.2)."""
-
-    def test_spam_row(self):
-        outcome = evaluate_technique(
-            lambda env: SpamMeasurement(env.ctx, TARGETS), "spam", seed=60
-        )
-        assert outcome.successful
-
-    def test_ddos_row(self):
-        outcome = evaluate_technique(
-            lambda env: DDoSMeasurement(env.ctx, TARGETS, requests_per_target=25),
-            "ddos", seed=60,
-        )
-        assert outcome.successful
-
-    def test_scan_row(self):
-        def factory(env):
-            if env.censor.policy.ip_blocking:
-                env.censor.policy.blocked_ips.add(env.topo.blocked_web.ip)
-            return ScanMeasurement(
-                env.ctx,
-                [ScanTarget(env.topo.blocked_web.ip, [80], "twitter.com"),
-                 ScanTarget(env.topo.control_web.ip, [80], "example.org")],
-                port_count=60,
-            )
-
-        outcome = evaluate_technique(
-            factory, "scan",
-            blocked_targets=["twitter.com"], control_targets=["example.org"],
-            seed=60,
-        )
-        assert outcome.successful
-
-    def test_overt_baseline_fails_evasion(self):
-        outcome = evaluate_technique(
-            lambda env: OvertHTTPMeasurement(env.ctx, TARGETS), "overt-http", seed=60
-        )
-        assert outcome.accuracy == 1.0
-        assert not outcome.evades_surveillance
 
 
 class TestE9RiskComparison:

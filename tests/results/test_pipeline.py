@@ -17,8 +17,14 @@ import sys
 
 import pytest
 
-from repro.results import iter_rows, read_header, records_path, write_records
-from repro.runner import CampaignStore, SweepRunner, SweepSpec
+from repro.results import (
+    analyze_records,
+    iter_rows,
+    read_header,
+    records_path,
+    write_records,
+)
+from repro.runner import CampaignStore, SweepRunner, SweepSpec, analyze_spec
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -128,6 +134,18 @@ class TestRunnerIntegration:
         assert vantages == {"censored", "clean"}
         censors = {(row["vantage"], row["censor"]) for row in iter_rows(path)}
         assert censors == {("censored", "gfc"), ("clean", "none")}
+
+    def test_analyze_spec_equals_the_record_file_analysis(self, tmp_path):
+        """The in-memory scorer ``repro matrix`` uses gives the document
+        ``repro report`` computes from the sweep's record file."""
+        path = str(tmp_path / "v.records.jsonl")
+        run_sweep(vantage_spec(), record_path=path, serial=True)
+        assert analyze_spec(vantage_spec()) == analyze_records(iter_rows(path))
+        assert os.listdir(tmp_path) == ["v.records.jsonl"]
+
+    def test_analyze_spec_refuses_failed_points(self):
+        with pytest.raises(RuntimeError, match=r"points \[1\] failed"):
+            analyze_spec(vantage_spec(inject_failures={1: "exception"}))
 
 
 class TestProgressCallback:

@@ -12,7 +12,6 @@ import pytest
 
 from repro.rules import DEFAULT_VARIABLES, RuleEngine, parse_ruleset
 from repro.rules.multipattern import (
-    MultiPatternAutomaton,
     StreamScanState,
     clear_automaton_cache,
     shared_automaton,
@@ -41,7 +40,6 @@ class TestSharedAutomaton:
         first = shared_automaton(censor_rules())
         second = shared_automaton(censor_rules())
         assert first is second
-        assert first.shared
 
     def test_cache_key_is_the_literal_set(self):
         """Two textually different rulesets with identical content
@@ -73,7 +71,7 @@ class TestSharedAutomaton:
         assert clear_automaton_cache() == 1
         assert clear_automaton_cache() == 0
         rebuilt = shared_automaton(censor_rules())
-        assert rebuilt.shared
+        assert rebuilt is shared_automaton(censor_rules())
 
     def test_scan_matches_naive_reference(self):
         automaton = shared_automaton(censor_rules())
@@ -102,7 +100,6 @@ class TestEngineIntegration:
         extender.add_rules(EXTRA_RULE)
 
         assert extender._mp is not original, "shared automaton extended in place"
-        assert not extender._mp.shared
         assert bystander._mp is original
         assert original.known_ids() == known_before
 
@@ -127,17 +124,26 @@ class TestEngineIntegration:
         extender.add_rules(EXTRA_RULE)
         assert extender._mp.ensure_ready() > stale.automaton_version
 
-    def test_second_extension_stays_private_and_incremental(self):
+    def test_second_extension_rebuilds_privately(self):
+        """Every extension takes the one replacement path: a fresh
+        automaton over the whole ruleset, versioned past the one it
+        replaces, even when that one is already private."""
         extender = RuleEngine.from_text(
             censor_ruleset_text(), variables=DEFAULT_VARIABLES
         )
         extender.add_rules(EXTRA_RULE)
         replacement = extender._mp
+        version = replacement.ensure_ready()
         extender.add_rules(
             'alert tcp any any -> any 8082 '
             '(msg:"CACHE two"; content:"second-needle"; sid:990002;)'
         )
-        assert extender._mp is replacement  # private now; extended in place
+        assert extender._mp is not replacement
+        assert extender._mp.ensure_ready() > version
+        haystack = b"cowtest-needle second-needle"
+        assert extender._mp.scan(haystack) == extender._mp.naive_present(haystack)
+        assert extender._mp.known_ids() > replacement.known_ids()
+        assert shared_automaton(censor_rules()).known_ids() < replacement.known_ids()
 
     def test_cached_engine_still_alerts(self):
         """End to end: a second engine built from the cache detects the
@@ -169,9 +175,3 @@ class TestEngineIntegration:
         )
         assert alerts, "cached-automaton engine raised no alerts"
 
-
-class TestAutomatonSharedFlagDefault:
-    def test_privately_built_automatons_are_not_shared(self):
-        automaton = MultiPatternAutomaton()
-        automaton.add_rules(censor_rules())
-        assert not automaton.shared

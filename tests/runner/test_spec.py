@@ -3,11 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.censor import censor_families
+from repro.core.evaluation import TECHNIQUES
 from repro.core.measurement import RetryPolicy
 from repro.netsim.impairment import mix_seed
-from repro.runner import SweepPoint, SweepSpec, parse_retry_policy
+from repro.runner import TOPOLOGIES, SweepPoint, SweepSpec, parse_retry_policy
+from repro.runner.spec import VANTAGES
 
 
 class TestRetryPolicyParsing:
@@ -259,3 +263,105 @@ class TestSpecLoading:
         spec = SweepSpec(name="rt", seeds=(0, 2), inject_failures={1: "exit"})
         clone = SweepSpec.from_mapping(spec.as_dict())
         assert clone.points() == spec.points()
+
+
+class TestMalformedSpecs:
+    """Every malformed key is a ``ValueError`` that names the key."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 5),
+        ("seeds", [1.5]),
+        ("seeds", [True]),
+        ("loss_rates", [None]),
+        ("loss_rates", [float("nan")]),
+        ("duration", "x"),
+        ("duration", float("inf")),
+        ("port_count", "10"),
+        ("retry_policies", [3]),
+        ("retry_policies", ["sometimes"]),
+        ("techniques", "scan"),
+        ("cover", -3),
+        ("burst", 0.5),
+        ("censored", 1),
+        ("name", None),
+        ("inject_failures", {"x": "exit"}),
+        ("inject_failures", {"0": 1}),
+        ("inject_delays", {"0": "slow"}),
+        ("populations", [1.0]),
+    ])
+    def test_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SweepSpec.from_mapping({key: value})
+
+    def test_non_mapping_rejected(self):
+        with pytest.raises(ValueError, match="mapping"):
+            SweepSpec.from_mapping([["seeds", [0]]])
+
+    def test_json_object_keys_index_injections(self):
+        spec = SweepSpec.from_mapping(
+            {"seeds": [0, 1], "inject_failures": {"1": "exception"},
+             "inject_delays": {"0": 0.5}}
+        )
+        assert [p.fail for p in spec.points()] == ["", "exception"]
+        assert [p.delay for p in spec.points()] == [0.5, 0.0]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+#: plausible values per key, so a good share of drawn specs are valid
+_GOOD = {
+    "name": st.text(max_size=8),
+    "base_seed": st.integers(),
+    "seeds": st.lists(st.integers(0, 9), min_size=1, max_size=3),
+    "techniques": st.lists(st.sampled_from(TECHNIQUES), min_size=1, max_size=2),
+    "topologies": st.lists(st.sampled_from(TOPOLOGIES), min_size=1, max_size=2),
+    "loss_rates": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=2),
+    "retry_policies": st.lists(
+        st.sampled_from(["single-shot", "retry-3", "retry-1"]), min_size=1,
+        max_size=2,
+    ),
+    "vantages": st.lists(st.sampled_from(VANTAGES), max_size=2),
+    "censors": st.lists(st.sampled_from(censor_families()), max_size=2),
+    "populations": st.lists(st.integers(-1, 5), max_size=2),
+    "burst": st.floats(0.0, 10.0),
+    "duration": st.floats(-1.0, 100.0),
+    "port_count": st.integers(-1, 50),
+    "censored": st.booleans(),
+    "cover": st.integers(-2, 10),
+    "inject_failures": st.dictionaries(
+        st.sampled_from(["0", "1", "x"]),
+        st.sampled_from(["exception", "exit", "unpicklable", "shrug"]),
+        max_size=2,
+    ),
+    "inject_delays": st.dictionaries(
+        st.sampled_from(["0", "1"]), st.floats(-1.0, 2.0), max_size=2
+    ),
+}
+
+
+@st.composite
+def _spec_mappings(draw):
+    keys = draw(st.lists(
+        st.sampled_from(sorted(_GOOD) + ["warp_factor"]), unique=True, max_size=8
+    ))
+    return {
+        key: draw(_GOOD[key] | _JSON if key in _GOOD else _JSON) for key in keys
+    }
+
+
+class TestSpecFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_spec_mappings())
+    def test_json_shaped_mapping_gives_a_spec_or_value_error(self, data):
+        try:
+            spec = SweepSpec.from_mapping(data)
+        except ValueError:
+            return
+        # A spec that validates expands and hashes without surprises.
+        assert len(spec) == len(spec.points())
+        assert SweepSpec.from_mapping(spec.as_dict()).points() == spec.points()
