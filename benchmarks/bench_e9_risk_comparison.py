@@ -1,127 +1,59 @@
 """E9 — the headline risk comparison: overt vs. stealthy techniques.
 
-Runs every technique over the same full target list in identical censored
-environments and reports what the surveillance system ends up knowing about
+Runs the E9 scenario pack (:data:`repro.runner.E9_PACK`): every technique
+over the same full target list at the censored vantage, scored by
+:class:`repro.results.RecordAnalysis` from the point-level risk columns
+of its record rows — what the surveillance system ends up knowing about
 the measurer.  Paper shape: the overt baseline is attributed with full
-confidence and investigated; each stealthy technique leaves zero attributed
-alerts (Section 3 methods) or a diluted 1/N attribution (Section 4
-spoofing), at equal measurement accuracy.
+confidence and investigated; each stealthy technique leaves zero
+attributed alerts (Section 3 methods) or a diluted 1/N attribution
+(Section 4 spoofing) that the analyst cannot act on, at equal
+measurement accuracy.
 """
 
 from common import write_report
 
 from repro.analysis import render_table
-from repro.core import (
-    DDoSMeasurement,
-    OvertDNSMeasurement,
-    OvertHTTPMeasurement,
-    ScanMeasurement,
-    ScanTarget,
-    SpamMeasurement,
-    StatefulMimicryMeasurement,
-    StatelessSpoofedDNSMeasurement,
-    assess_risk,
-    comparison_table,
-)
-from repro.core.evaluation import (
-    BLOCKED_TARGETS_FULL,
-    CONTROL_TARGETS_FULL,
-    build_environment,
-)
-
-FULL = list(BLOCKED_TARGETS_FULL) + CONTROL_TARGETS_FULL
+from repro.runner import E9_PACK, SweepSpec, analyze_spec
 
 
-def _factories():
-    def overt_http(env):
-        return OvertHTTPMeasurement(env.ctx, FULL)
-
-    def overt_dns(env):
-        return OvertDNSMeasurement(env.ctx, FULL)
-
-    def scan(env):
-        env.censor.policy.blocked_ips.add(env.topo.blocked_web.ip)
-        return ScanMeasurement(
-            env.ctx,
-            [ScanTarget(env.topo.blocked_web.ip, [80], "blocked"),
-             ScanTarget(env.topo.control_web.ip, [80], "control")],
-            port_count=80,
-        )
-
-    def spam(env):
-        return SpamMeasurement(env.ctx, FULL)
-
-    def ddos(env):
-        return DDoSMeasurement(env.ctx, FULL[:4], requests_per_target=25)
-
-    def spoofed_dns(env):
-        return StatelessSpoofedDNSMeasurement(env.ctx, FULL, env.cover_ips(10))
-
-    def stateful(env):
-        # Cover sets only defeat the analyst when the resulting suspect
-        # crowd exceeds analyst capacity (a quantitative result of this
-        # reproduction: a tie-group the analyst can afford to investigate
-        # wholesale offers no protection).  Capacity is 10/day; 11 covers
-        # put the crowd at 12.
-        payloads = [b"GET /falun HTTP/1.1\r\nHost: probe\r\n\r\n",
-                    b"GET /weather HTTP/1.1\r\nHost: probe\r\n\r\n"]
-        return StatefulMimicryMeasurement(
-            env.ctx, env.mimicry_server, payloads, env.cover_ips(11)
-        )
-
-    return [
-        ("overt-http", overt_http, False),
-        ("overt-dns", overt_dns, False),
-        ("scan", scan, True),
-        ("spam", spam, True),
-        ("ddos", ddos, True),
-        ("spoofed-dns", spoofed_dns, True),
-        ("stateful-mimicry", stateful, True),
-    ]
+def run_comparison(seed: int = 0):
+    return analyze_spec(SweepSpec.from_mapping({**E9_PACK, "base_seed": seed}))
 
 
-def run_comparison(seed: int = 8):
-    assessments = []
-    detected = {}
-    for name, factory, _stealthy in _factories():
-        env = build_environment(censored=True, seed=seed, population_size=12)
-        env.surveillance.analyst.escalation_threshold = 1
-        technique = factory(env)
-        technique.start()
-        env.run(duration=120.0)
-        risk = assess_risk(env.surveillance, name, "measurer",
-                           env.topo.measurement_client.ip, now=env.sim.now)
-        assessments.append(risk)
-        detected[name] = any(result.blocked for result in technique.results)
-    return assessments, detected
+def _fmt(value, places=3):
+    return "-" if value is None else f"{value:.{places}f}"
 
 
 def test_e9_risk_comparison():
-    assessments, detected = run_comparison()
-    report = comparison_table(assessments)
-    extra = render_table(
-        ["technique", "detected censorship"],
-        [[name, "yes" if hit else "NO"] for name, hit in detected.items()],
-        title="\ncensorship detection per technique",
-    )
-    write_report("e9_risk_comparison", report + "\n" + extra)
+    matrix = run_comparison()["matrix"]
+    rows = [
+        [technique, _fmt(cells["attributed_alerts"], 0),
+         _fmt(cells["attribution_confidence"]),
+         "yes" if cells["investigated"] else "no",
+         "yes" if cells["detects"] == 1.0 else "NO"]
+        for technique, cells in matrix.items()
+    ]
+    write_report("e9_risk_comparison", render_table(
+        ["technique", "attrib. alerts", "confidence", "investigated",
+         "detected censorship"],
+        rows,
+        title=(f"E9: what the surveillance system knows about the measurer "
+               f"(E9 pack, base seed 0, cover {E9_PACK['cover']})"),
+    ))
 
-    by_name = {a.technique: a for a in assessments}
     # Every technique detected the censorship.
-    assert all(detected.values()), detected
+    for technique, cells in matrix.items():
+        assert cells["detects"] == 1.0, technique
     # Overt HTTP/DNS: attributed and investigated.
-    assert by_name["overt-http"].attributed_alerts > 0
-    assert by_name["overt-dns"].attributed_alerts > 0
-    assert by_name["overt-dns"].investigated
+    for technique in ("overt-http", "overt-dns"):
+        assert matrix[technique]["attributed_alerts"] > 0, technique
+        assert matrix[technique]["investigated"] == 1.0, technique
     # Section-3 methods: zero attributed alerts.
-    for name in ("scan", "spam", "ddos"):
-        assert by_name[name].attributed_alerts == 0, name
-        assert not by_name[name].investigated, name
-    # Section-4 spoofing: diluted attribution, low confidence.
-    assert by_name["spoofed-dns"].attribution_confidence < 0.15
-    assert by_name["stateful-mimicry"].attribution_confidence < 0.5
-    # Headline: every stealthy technique is strictly less risky than overt.
-    overt_risk = min(by_name["overt-http"].risk_score(),
-                     by_name["overt-dns"].risk_score())
-    for name in ("scan", "spam", "ddos", "spoofed-dns", "stateful-mimicry"):
-        assert by_name[name].risk_score() < overt_risk, name
+    for technique in ("scan", "spam", "ddos"):
+        assert matrix[technique]["attributed_alerts"] == 0, technique
+        assert matrix[technique]["investigated"] == 0.0, technique
+    # Section-4 spoofing: diluted attribution the analyst cannot act on.
+    for technique in ("spoofed-dns", "stateful"):
+        assert matrix[technique]["attribution_confidence"] <= 1 / 12, technique
+        assert matrix[technique]["investigated"] == 0.0, technique

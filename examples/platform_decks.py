@@ -3,13 +3,12 @@
 
 The platform runs three tests (DNS consistency, HTTP reachability, TCP
 reachability) over a target list, choosing overt or stealthy
-implementations per the configured risk posture, and emits an OONI-style
-JSON document plus a risk assessment.
+implementations per the configured risk posture, and assesses what the
+surveillance system knows about the measurer afterwards.  The deck's
+results as record rows (JSON lines): ``python -m repro deck --json``.
 
 Run:  python examples/platform_decks.py
 """
-
-import json
 
 from repro.analysis import render_table
 from repro.core import MeasurementPlatform, build_environment
@@ -22,7 +21,6 @@ DOMAINS = list(BLOCKED_TARGETS_FULL) + ["example.org", "weather.gov"]
 
 def main():
     rows = []
-    sample_document = None
     for posture in ("overt", "stealthy", "paranoid"):
         env = build_environment(censored=True, seed=6, population_size=14)
         platform = MeasurementPlatform(env, posture=posture)
@@ -32,22 +30,16 @@ def main():
             ",".join(report.blocked_domains()),
             report.risk.attributed_alerts,
             report.risk.attribution_confidence,
+            "yes" if report.risk.investigated else "no",
             "yes" if report.risk.evaded else "no",
         ])
-        if posture == "stealthy":
-            sample_document = report.to_json()
 
     print(render_table(
         ["posture", "blocked domains found", "attributed alerts",
-         "confidence", "evaded"],
+         "confidence", "investigated", "evaded"],
         rows,
         title="the same deck at three risk postures",
     ))
-
-    print("\nexcerpt of the stealthy deck's JSON document:")
-    parsed = json.loads(sample_document)
-    print(json.dumps({"metadata": parsed["metadata"],
-                      "summary": parsed["summary"]}, indent=2))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from repro.core.evaluation import BLOCKED_TARGETS_FULL
 def main():
     print("building censored AS with population traffic...")
     env = build_environment(censored=True, seed=4, population_size=12)
-    env.surveillance.analyst.escalation_threshold = 1
 
     # Traffic shares calibrated so stage-1 reduction lands near the paper's
     # ~30 % (dominated by p2p) — see bench_e4_mvr_storage.py.

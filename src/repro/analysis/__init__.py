@@ -1,7 +1,6 @@
 """Analysis: metrics, CDFs, Syria log analysis, ethics arithmetic, tables."""
 
 from .cdf import EmpiricalCDF, ascii_cdf
-from .export import campaign_document, result_to_record, risk_to_record
 from .ethics import (
     LoadComparison,
     OpenResolverStats,
@@ -31,13 +30,10 @@ __all__ = [
     "SYRIA_CENSORED_USER_FRACTION",
     "SyriaLogGenerator",
     "analyze_logs",
-    "campaign_document",
     "ascii_cdf",
     "link_report",
     "load_comparison",
     "render_table",
-    "result_to_record",
-    "risk_to_record",
     "run_report",
     "Summary",
     "summarize_samples",

@@ -24,7 +24,7 @@ from .analysis import (
     render_table,
 )
 from .censor import censor_families
-from .core import assess_risk, build_environment
+from .core import build_environment
 from .core.evaluation import (
     BLOCKED_TARGETS_FULL,
     CONTROL_TARGETS_FULL,
@@ -32,7 +32,14 @@ from .core.evaluation import (
     technique_factory as _technique_factory,
 )
 from .netsim import http_get, resolve
-from .obs import MetricsRegistry, Tracer, use_registry, use_tracer, write_json
+from .obs import (
+    MetricsRegistry,
+    Tracer,
+    active_or_none,
+    use_registry,
+    use_tracer,
+    write_json,
+)
 from .spoofing import BEVERLY_PROFILE, feasibility_summary, sample_scopes
 
 
@@ -94,30 +101,51 @@ def cmd_vantage(args: argparse.Namespace) -> int:
 
 
 def cmd_risk(args: argparse.Namespace) -> int:
-    env = build_environment(censored=True, seed=args.seed, censor=args.censor)
-    env.surveillance.analyst.escalation_threshold = args.threshold
-    technique = _technique_factory(args.technique, args.cover)(env)
-    technique.start()
-    env.run(duration=args.duration)
+    """One technique at the censored vantage, run as a one-point sweep: its
+    record rows, then the point's risk columns."""
+    from .runner import SweepSpec, run_point
 
-    print(f"results ({len(technique.results)}):")
-    for result in technique.results[: args.max_results]:
-        print(f"  {result}")
-    if len(technique.results) > args.max_results:
-        print(f"  ... and {len(technique.results) - args.max_results} more")
+    try:
+        spec = SweepSpec.from_mapping({
+            "name": "risk",
+            "base_seed": args.seed,
+            "techniques": [args.technique],
+            "topologies": ["censored-as"],
+            "vantages": ["censored"],
+            "censors": [args.censor],
+            "duration": args.duration,
+            "cover": args.cover,
+        })
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    (point,) = spec.points()
+    record = run_point(point.as_dict(), in_process=True)
+    registry = active_or_none()
+    if registry is not None:
+        # --metrics-out: the point ran under a registry of its own
+        registry.merge(record["report"]["metrics"])
+    rows = record["records"]
 
-    risk = assess_risk(env.surveillance, args.technique, "measurer",
-                       env.topo.measurement_client.ip, now=env.sim.now)
+    shown = rows[: args.max_results]
+    print(render_table(
+        ["target", "verdict", "attempts", "latency (s)", "reason"],
+        [[row["target"], row["verdict"], row["attempts"],
+          f"{row['latency']:.3f}", row["reason"]] for row in shown],
+        title=f"results ({len(rows)}):",
+    ))
+    if len(rows) > len(shown):
+        print(f"  ... and {len(rows) - len(shown)} more")
+
+    risk = rows[0] if rows else {}
     print(render_table(
         ["metric", "value"],
         [
-            ["attributed alerts", risk.attributed_alerts],
-            ["true-origin alerts", risk.true_origin_alerts],
-            ["attribution confidence", risk.attribution_confidence],
-            ["suspect entropy (bits)", risk.suspect_entropy],
-            ["investigated", str(risk.investigated)],
-            ["risk score", risk.risk_score()],
-            ["evaded (paper criterion)", str(risk.evaded)],
+            ["attributed alerts", risk.get("attributed_alerts", "-")],
+            ["true-origin alerts", risk.get("true_origin_alerts", "-")],
+            ["attribution confidence", risk.get("attribution_confidence", "-")],
+            ["investigated", str(risk.get("investigated", "-"))],
+            ["evaded (paper criterion)", str(risk.get("evaded", "-"))],
         ],
         title="\nsurveillance risk assessment",
     ))
@@ -143,10 +171,28 @@ def cmd_deck(args: argparse.Namespace) -> int:
     risk = report.risk
     print(
         f"risk: {risk.attributed_alerts} attributed alert(s), confidence "
-        f"{risk.attribution_confidence:.2f}, evaded={risk.evaded}"
+        f"{risk.attribution_confidence:.2f}, investigated={risk.investigated}, "
+        f"evaded={risk.evaded}"
     )
     if args.json:
-        print("\n" + report.to_json())
+        from .obs.export import canonical_json
+        from .results import rows_from_point
+
+        # The deck's results as record rows, one point per deck test.
+        print()
+        for index, (test_name, results) in enumerate(report.results_by_test.items()):
+            point = {
+                "index": index, "seed": args.seed, "loss": 0.0,
+                "retry": "single-shot", "topology": "censored-as",
+                "technique": f"deck-{args.posture}/{test_name}",
+            }
+            for row in rows_from_point(
+                point, results,
+                vantage="clean" if args.open else "censored",
+                censor="none" if args.open else args.censor,
+                risk=risk,
+            ):
+                print(canonical_json(row))
     return 0
 
 
@@ -473,11 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     risk.add_argument("--technique", choices=TECHNIQUES, default="spam")
     risk.add_argument("--censor", choices=censor_families(), default="gfc",
                       help="censor-model family at the border (default: gfc)")
-    risk.add_argument("--seed", type=int, default=0)
+    risk.add_argument("--seed", type=int, default=0,
+                      help="base seed of the one-point sweep")
     risk.add_argument("--duration", type=float, default=90.0)
     risk.add_argument("--cover", type=int, default=11)
-    risk.add_argument("--threshold", type=int, default=1,
-                      help="analyst escalation threshold")
     risk.add_argument("--max-results", type=int, default=10)
     risk.set_defaults(func=cmd_risk)
 
@@ -493,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="censor-model family at the border (default: gfc)")
     deck.add_argument("--domains", nargs="*")
     deck.add_argument("--json", action="store_true",
-                      help="also print the full JSON campaign document")
+                      help="also print the deck's record rows as JSON lines")
     deck.set_defaults(func=cmd_deck)
 
     trace = sub.add_parser(

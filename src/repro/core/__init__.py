@@ -25,9 +25,8 @@ from .results import (
     blocked_verdicts,
     summarize,
 )
-from .risk import RiskAssessment, assess_risk, comparison_table
+from .risk import RiskAssessment, assess_risk
 from .scanning import ScanMeasurement, ScanTarget, top_ports
-from .scheduler import MeasurementCampaign
 from .sni import TLSReachabilityMeasurement
 from .spam import SpamMeasurement
 from .spoofing_stateful import MimicryServer, StatefulMimicryMeasurement, shared_isn
@@ -41,7 +40,6 @@ __all__ = [
     "KeywordProbeMeasurement",
     "LongitudinalCampaign",
     "DeckReport",
-    "MeasurementCampaign",
     "MeasurementContext",
     "MeasurementResult",
     "MeasurementTechnique",
@@ -66,7 +64,6 @@ __all__ = [
     "assess_risk",
     "blocked_verdicts",
     "build_environment",
-    "comparison_table",
     "interpret_dns",
     "shared_isn",
     "summarize",

@@ -25,6 +25,7 @@ __all__ = [
     "build_environment",
     "technique_factory",
     "TECHNIQUES",
+    "POPULATION_SIZE",
     "BLOCKED_TARGETS",
     "CONTROL_TARGETS",
 ]
@@ -37,6 +38,10 @@ CONTROL_TARGETS = ["example.org", "weather.gov"]
 from ..rules.rulesets import BLOCKED_DOMAINS as BLOCKED_TARGETS_FULL  # noqa: E402
 
 CONTROL_TARGETS_FULL = ["example.org", "weather.gov", "wikipedia.org", "archive.org"]
+
+#: Population hosts :func:`build_environment` puts in the censored AS by
+#: default: the most spoofed cover a technique can draw on.
+POPULATION_SIZE = 20
 
 
 @dataclass
@@ -72,7 +77,7 @@ class Environment:
 def build_environment(
     censored: bool = True,
     seed: int = 0,
-    population_size: int = 20,
+    population_size: int = POPULATION_SIZE,
     with_population_traffic: bool = False,
     population_duration: float = 30.0,
     policy: Optional[CensorshipPolicy] = None,

@@ -5,7 +5,9 @@ construct raw packets (e.g., OONI, Centinel)" (§1).  This module is that
 platform: it runs a standard *deck* of tests — DNS consistency, HTTP
 reachability, mail-path reachability, TCP reachability — choosing between
 overt and stealthy implementations of each test according to a configured
-risk posture, and emits a single JSON campaign document.
+risk posture, and assesses the measurer's risk after the deck.
+``repro deck --json`` prints the deck's results as record rows (the
+sweep's one result serialisation, :func:`repro.results.rows_from_point`).
 
 Risk postures:
 
@@ -56,18 +58,6 @@ class DeckReport:
                         if domain in result.target:
                             blocked.add(domain)
         return sorted(blocked)
-
-    def to_json(self) -> str:
-        """The OONI-style campaign document."""
-        # Imported here: repro.analysis.export also imports repro.core, so
-        # a module-level import would be circular.
-        from ..analysis.export import campaign_document
-
-        return campaign_document(
-            self.results_by_test,
-            risks=[self.risk] if self.risk is not None else [],
-            metadata={"posture": self.posture, "domains": self.domains},
-        )
 
 
 class MeasurementPlatform:

@@ -10,11 +10,11 @@ into those numbers (experiments E6 and E9).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..surveillance.system import SurveillanceSystem
 
-__all__ = ["RiskAssessment", "assess_risk", "comparison_table"]
+__all__ = ["RiskAssessment", "assess_risk"]
 
 
 @dataclass
@@ -60,16 +60,20 @@ def assess_risk(
     technique: str,
     measurer_user: str,
     measurer_ip: str,
-    run_analyst: bool = True,
     now: Optional[float] = None,
 ) -> RiskAssessment:
-    """Build a :class:`RiskAssessment` from the surveillance system's state."""
+    """Build a :class:`RiskAssessment` from the surveillance system's state.
+
+    With ``now`` given, the analyst triages the alerts first, so
+    ``investigated`` reflects this campaign; without it, ``investigated``
+    reports only cases opened earlier.
+    """
     attributed = surveillance.attributed_alerts_for_user(measurer_user)
     true_origin = surveillance.alerts_from_origin(measurer_ip)
     report = surveillance.suspect_report()
     suspects = report.suspects
     rank = suspects.index(measurer_user) + 1 if measurer_user in suspects else None
-    if run_analyst and now is not None:
+    if now is not None:
         surveillance.run_analyst(now)
     return RiskAssessment(
         technique=technique,
@@ -80,19 +84,3 @@ def assess_risk(
         suspect_entropy=report.entropy(),
         investigated=surveillance.analyst.is_under_investigation(measurer_user),
     )
-
-
-def comparison_table(assessments: List[RiskAssessment]) -> str:
-    """Render the E9 comparison as an aligned text table."""
-    header = (
-        f"{'technique':<20} {'attrib.alerts':>13} {'true-origin':>11} "
-        f"{'confidence':>10} {'entropy':>8} {'investigated':>12} {'risk':>6}"
-    )
-    lines = [header, "-" * len(header)]
-    for a in assessments:
-        lines.append(
-            f"{a.technique:<20} {a.attributed_alerts:>13} {a.true_origin_alerts:>11} "
-            f"{a.attribution_confidence:>10.3f} {a.suspect_entropy:>8.3f} "
-            f"{str(a.investigated):>12} {a.risk_score():>6.3f}"
-        )
-    return "\n".join(lines)

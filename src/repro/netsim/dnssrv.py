@@ -9,7 +9,7 @@ twitter.com / youtube.com from a PlanetLab node in China).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..packets import (
     DNSMessage,
@@ -34,13 +34,18 @@ class Zone:
 
     def __init__(self) -> None:
         self._records: Dict[Tuple[str, int], List[DNSRecord]] = {}
+        #: every name with a record at any type (``knows`` runs on each
+        #: query that misses, so it must not scan the records)
+        self._names: Set[str] = set()
 
     @staticmethod
     def _key(name: str, qtype: int) -> Tuple[str, int]:
         return name.rstrip(".").lower(), qtype
 
     def add(self, record: DNSRecord) -> "Zone":
-        self._records.setdefault(self._key(record.name, record.rtype), []).append(record)
+        key = self._key(record.name, record.rtype)
+        self._records.setdefault(key, []).append(record)
+        self._names.add(key[0])
         return self
 
     def add_a(self, name: str, address: str, ttl: int = 300) -> "Zone":
@@ -73,11 +78,10 @@ class Zone:
 
     def knows(self, name: str) -> bool:
         """Whether any record exists for ``name`` at any type."""
-        normalized = name.rstrip(".").lower()
-        return any(key[0] == normalized for key in self._records)
+        return name.rstrip(".").lower() in self._names
 
     def names(self) -> List[str]:
-        return sorted({key[0] for key in self._records})
+        return sorted(self._names)
 
 
 class DNSServer:

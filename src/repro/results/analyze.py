@@ -24,7 +24,9 @@ What falls out at :meth:`~RecordAnalysis.as_dict` time:
   accuracy, false-block rate over ground-truth-open targets, and the
   MVR-evasion fraction recovered from the rows' point-level ``evaded``
   stamps — the paper's accuracy/evasion trade-off, computed from
-  records instead of re-running anything.
+  records instead of re-running anything — and the E9 risk numbers from
+  the point-level risk stamps: mean attributed alerts, mean attribution
+  confidence, and the fraction of points where the analyst investigated.
 - **False-block curves** — false-block rate as a function of the loss
   axis, one curve per (technique, retry policy): the safety argument
   for retries, straight from campaign data.
@@ -46,6 +48,7 @@ from ..analysis.metrics import ConfusionCounts
 from ..core.evaluation import BLOCKED_TARGETS_FULL, CONTROL_TARGETS_FULL
 from ..core.results import Verdict
 from ..obs.metrics import Histogram
+from ..rules.rulesets import GFC_KEYWORDS
 
 __all__ = ["RecordAnalysis", "analyze_records", "BLOCKING_VERDICTS"]
 
@@ -68,6 +71,11 @@ def _new_vantage_stats() -> Dict[str, float]:
         "rows": 0, "blocked": 0, "accessible": 0, "inconclusive": 0,
         "confidence_sum": 0.0, "attempts_sum": 0,
     }
+
+
+def _mean(total: float, count: int) -> Optional[float]:
+    """``total / count`` rounded for the document, ``None`` when empty."""
+    return round(total / count, 6) if count else None
 
 
 def _majority(stats: Mapping[str, float]) -> Tuple[Optional[str], float, int]:
@@ -97,6 +105,9 @@ class RecordAnalysis:
         self.blocked_names: Tuple[str, ...] = tuple(
             blocked_targets if blocked_targets is not None
             else list(BLOCKED_TARGETS_FULL) + ["blocked-service"]
+            # the stateful-mimicry probe's target is its request line,
+            # which carries a censored keyword
+            + list(GFC_KEYWORDS)
         )
         self.control_names: Tuple[str, ...] = tuple(
             control_targets if control_targets is not None
@@ -184,6 +195,8 @@ class RecordAnalysis:
         tech = self._tech.setdefault(technique, {
             "rows": 0, "points": 0, "confidence_sum": 0.0, "attempts_sum": 0,
             "evaded_points": 0, "evasion_points": 0,
+            "risk_points": 0, "attributed_sum": 0, "attribution_sum": 0.0,
+            "investigated_points": 0,
         })
         tech["rows"] += 1
         tech["confidence_sum"] += row["confidence"]
@@ -193,6 +206,12 @@ class RecordAnalysis:
             if row.get("evaded") is not None:
                 tech["evasion_points"] += 1
                 tech["evaded_points"] += int(bool(row["evaded"]))
+            # Schema-2 rows have no risk columns: read them with .get.
+            if row.get("attributed_alerts") is not None:
+                tech["risk_points"] += 1
+                tech["attributed_sum"] += row["attributed_alerts"]
+                tech["attribution_sum"] += row["attribution_confidence"]
+                tech["investigated_points"] += int(bool(row["investigated"]))
 
         censor = row.get("censor", "none")
         if censor and censor != "none":
@@ -235,13 +254,19 @@ class RecordAnalysis:
                     counts.true_negative += 1
 
     def extend(self, rows: Iterable[Mapping[str, object]]) -> "RecordAnalysis":
-        """Fold every row; a row missing a column raises ``ValueError``."""
+        """Fold every row; a row missing a column, or holding a value of
+        the wrong type, raises ``ValueError`` naming its position."""
+        position = 0
         try:
-            for row in rows:
+            for position, row in enumerate(rows, start=1):
                 self.add(row)
         except KeyError as exc:
             raise ValueError(
-                f"record row lacks the {exc.args[0]!r} column"
+                f"record row {position} lacks the {exc.args[0]!r} column"
+            ) from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"record row {position} has a wrongly typed column: {exc}"
             ) from exc
         return self
 
@@ -316,6 +341,7 @@ class RecordAnalysis:
                 tech["evaded_points"] / tech["evasion_points"]
                 if tech["evasion_points"] else None
             )
+            risk_points = tech["risk_points"]
             out[technique] = {
                 "rows": tech["rows"],
                 "points": tech["points"],
@@ -326,6 +352,11 @@ class RecordAnalysis:
                 "mean_attempts": round(tech["attempts_sum"] / tech["rows"], 6),
                 "mean_confidence": round(tech["confidence_sum"] / tech["rows"], 6),
                 "scored": confusion.total,
+                "attributed_alerts": _mean(tech["attributed_sum"], risk_points),
+                "attribution_confidence": _mean(
+                    tech["attribution_sum"], risk_points
+                ),
+                "investigated": _mean(tech["investigated_points"], risk_points),
             }
         return out
 
@@ -401,7 +432,18 @@ class RecordAnalysis:
         return out
 
     def as_dict(self) -> Dict[str, object]:
-        """The full JSON-ready analysis document (deterministic)."""
+        """The full JSON-ready analysis document (deterministic).
+
+        Columns whose values cannot be ordered or averaged (a technique
+        that is a string in one row and a number in another, an integer
+        too large for a float) raise ``ValueError``, as in :meth:`extend`.
+        """
+        try:
+            return self._document()
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"record rows cannot be summarised: {exc}") from exc
+
+    def _document(self) -> Dict[str, object]:
         classification = self.classify()
         tally: Dict[str, int] = {}
         for entry in classification:

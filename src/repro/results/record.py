@@ -26,6 +26,7 @@ from json import loads
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from ..core.results import MeasurementResult
+from ..core.risk import RiskAssessment
 from ..obs.export import canonical_json
 
 __all__ = [
@@ -40,19 +41,27 @@ __all__ = [
 
 #: Record-file schema version; bumped only for incompatible row changes.
 #: v2 added the background-load columns (``background_bytes``,
-#: ``population``) for points that ran under synthetic cover traffic.
-RECORD_SCHEMA = 2
+#: ``population``) for points that ran under synthetic cover traffic;
+#: v3 the point-level risk columns (``attributed_alerts``,
+#: ``true_origin_alerts``, ``attribution_confidence``, ``investigated``).
+RECORD_SCHEMA = 3
 
 #: Every row carries exactly these keys (canonical JSON sorts them, so
 #: this tuple is also the documented column order of the sink).
 ROW_FIELDS = (
     "attempts",          # probe attempts folded into this verdict
+    "attributed_alerts",  # point-level: effective MVR alerts attributed to
+                          # the measurer's user (null where no MVR exists)
+    "attribution_confidence",  # point-level: the measurer's share of the
+                               # attributable alerts (null where no MVR)
     "background_bytes",  # background wire bytes (both tiers) the point's
                          # population generated during the run; 0 when none
     "censor",            # censor family enforcing on the path (a registered
                          # censor-model name, e.g. "gfc", or "none")
     "confidence",        # verdict confidence in [0, 1]
     "evaded",            # point-level MVR evasion (null where no MVR exists)
+    "investigated",      # point-level: the analyst opened a case on the
+                         # measurer (null where no MVR exists)
     "latency",           # sim-time seconds from technique start to verdict
     "loss",              # marginal loss rate of the point's impairment model
     "point",             # grid index of the sweep point this row came from
@@ -64,6 +73,8 @@ ROW_FIELDS = (
     "target",            # domain / "ip:port" / service label
     "technique",         # technique axis value
     "topology",          # topology axis value
+    "true_origin_alerts",  # point-level: effective alerts whose true origin
+                           # was the measurer (null where no MVR exists)
     "vantage",           # "censored" | "clean"
     "verdict",           # Verdict enum value string
 )
@@ -74,7 +85,7 @@ def rows_from_point(
     results: Iterable[MeasurementResult],
     vantage: str,
     censor: str,
-    evaded: Optional[bool],
+    risk: Optional[RiskAssessment],
     background_bytes: int = 0,
 ) -> List[Dict[str, object]]:
     """Build the point's record rows from its technique's results.
@@ -84,19 +95,31 @@ def rows_from_point(
     sim timestamps) still exist; the row is the only form in which a
     result leaves the worker.  Everything a row carries is a plain JSON
     scalar, so the rows cross the pool boundary and the journal
-    unchanged.  ``evaded`` is the point-level surveillance outcome
-    (``None`` when the topology has no MVR to evade), stamped onto every
-    row so the evasion column of the Figure-1 matrix can be recovered
-    from records alone.
+    unchanged.  ``risk`` is the point-level surveillance outcome
+    (``None`` when the topology has no MVR to evade): its evasion,
+    attribution and investigation numbers are stamped onto every row, so
+    the Figure-1 matrix and the E9 risk comparison can be recovered from
+    records alone.
     """
+    if risk is None:
+        evaded = attributed = true_origin = attribution = investigated = None
+    else:
+        evaded = risk.evaded
+        attributed = risk.attributed_alerts
+        true_origin = risk.true_origin_alerts
+        attribution = risk.attribution_confidence
+        investigated = risk.investigated
     rows: List[Dict[str, object]] = []
     for seq, result in enumerate(results):
         rows.append({
             "attempts": result.attempts,
+            "attributed_alerts": attributed,
+            "attribution_confidence": attribution,
             "background_bytes": background_bytes,
             "censor": censor,
             "confidence": result.confidence,
             "evaded": evaded,
+            "investigated": investigated,
             "latency": result.time,
             "loss": point["loss"],
             "point": point["index"],
@@ -108,6 +131,7 @@ def rows_from_point(
             "target": result.target,
             "technique": point["technique"],
             "topology": point["topology"],
+            "true_origin_alerts": true_origin,
             "vantage": vantage,
             "verdict": result.verdict.value,
         })

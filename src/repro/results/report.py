@@ -58,12 +58,18 @@ def render_matrix_text(
     analysis: Dict[str, object],
     title: str = "\naccuracy/evasion matrix (Figure-1 criteria, from records)",
 ) -> str:
-    """The per-technique accuracy/evasion matrix as one text table."""
+    """The per-technique accuracy/evasion matrix as one text table.
+
+    ``attrib`` is the mean attribution confidence the MVR puts on the
+    measurer and ``inv`` the fraction of points where the analyst
+    investigated them ('-' where no point ran with an MVR).
+    """
     matrix_rows = [
         [
             technique,
             _fmt(cells["detects"]), _fmt(cells["accuracy"]),
             _fmt(cells["false_block_rate"]), _fmt(cells["evasion"]),
+            _fmt(cells["attribution_confidence"]), _fmt(cells["investigated"]),
             _fmt(cells["mean_attempts"], 2), _fmt(cells["mean_confidence"]),
             cells["rows"], _success(cells),
         ]
@@ -71,7 +77,7 @@ def render_matrix_text(
     ]
     return render_table(
         ["technique", "detects", "accuracy", "false-block", "evasion",
-         "attempts", "conf", "rows", "verdict"],
+         "attrib", "inv", "attempts", "conf", "rows", "verdict"],
         matrix_rows,
         title=title,
     )

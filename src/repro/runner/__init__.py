@@ -14,13 +14,21 @@ runner" / "Resumable campaigns") for the design.
 
 from .runner import SweepRunner, analyze_spec
 from .shard import QueuePlanner, estimate_cost
-from .spec import E1_PACK, TOPOLOGIES, SweepPoint, SweepSpec, parse_retry_policy
+from .spec import (
+    E1_PACK,
+    E9_PACK,
+    TOPOLOGIES,
+    SweepPoint,
+    SweepSpec,
+    parse_retry_policy,
+)
 from .store import CampaignStore
 from .worker import run_point, run_shard
 
 __all__ = [
     "CampaignStore",
     "E1_PACK",
+    "E9_PACK",
     "QueuePlanner",
     "SweepPoint",
     "SweepSpec",

@@ -23,12 +23,13 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..censor import censor_families
-from ..core.evaluation import TECHNIQUES
+from ..core.evaluation import POPULATION_SIZE, TECHNIQUES
 from ..core.measurement import RetryPolicy
 from ..netsim.impairment import mix_seed
 
 __all__ = [
     "E1_PACK",
+    "E9_PACK",
     "SweepPoint",
     "SweepSpec",
     "TOPOLOGIES",
@@ -66,6 +67,22 @@ E1_PACK: Mapping[str, object] = MappingProxyType({
     "vantages": ["censored", "clean"],
     "duration": 60.0,
     "cover": 8,
+})
+
+#: The paper's E9 risk comparison (Sections 3-4) as a scenario pack: every
+#: technique at the censored vantage, scored by the risk columns of its
+#: record rows.  Eleven covers put the spoofed suspect crowd at 12, above
+#: the analyst's capacity of 10 investigations a day.
+E9_PACK: Mapping[str, object] = MappingProxyType({
+    "name": "e9-risk",
+    "techniques": ["overt-http", "overt-dns", "scan", "spam", "ddos",
+                   "spoofed-dns", "stateful"],
+    "topologies": ["censored-as"],
+    "loss_rates": [0.0],
+    "retry_policies": ["single-shot"],
+    "vantages": ["censored"],
+    "duration": 120.0,
+    "cover": 11,
 })
 
 
@@ -377,6 +394,11 @@ class SweepSpec:
             raise ValueError(f"port_count must be >= 1 (got {self.port_count})")
         if self.cover < 0:
             raise ValueError(f"cover must be >= 0 (got {self.cover})")
+        if "censored-as" in self.topologies and self.cover > POPULATION_SIZE:
+            raise ValueError(
+                f"cover must be <= {POPULATION_SIZE}, the censored AS's "
+                f"population hosts (got {self.cover})"
+            )
         if self.burst < 1:
             raise ValueError(
                 f"burst is a mean burst length in packets: must be >= 1 "

@@ -27,7 +27,7 @@ from ..analysis.metrics import run_report
 from ..core.evaluation import build_environment, technique_factory
 from ..core.measurement import MeasurementContext
 from ..core.results import MeasurementResult, summarize
-from ..core.risk import assess_risk
+from ..core.risk import RiskAssessment, assess_risk
 from ..core.scanning import ScanMeasurement, ScanTarget
 from ..netsim import WebServer, build_three_node, burst_loss_profile
 from ..obs import MetricsRegistry, use_registry
@@ -48,7 +48,7 @@ def _record_rows(
     results: List[MeasurementResult],
     registry: MetricsRegistry,
     censor: str,
-    evaded: Optional[bool],
+    risk: Optional[RiskAssessment],
     background_bytes: int = 0,
 ) -> List[Dict[str, object]]:
     """Build the point's measurement-record rows and count them.
@@ -59,7 +59,7 @@ def _record_rows(
     conservation cross-check the runner's report carries.
     """
     rows = rows_from_point(
-        point.as_dict(), results, point.vantage_name(), censor, evaded,
+        point.as_dict(), results, point.vantage_name(), censor, risk,
         background_bytes=background_bytes,
     )
     counter = registry.counter(
@@ -90,9 +90,9 @@ def _run_three_node(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, o
     technique.start()
     topo.sim.run(until=topo.sim.now + point.duration)
     # No censor and no MVR anywhere in this topology: censor="none",
-    # evasion not applicable.
+    # the risk columns do not apply.
     rows = _record_rows(
-        point, technique.results, registry, censor="none", evaded=None
+        point, technique.results, registry, censor="none", risk=None
     )
     payload = {
         "verdicts": summarize(technique.results),
@@ -125,15 +125,16 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
         env.population.start(point.duration)
     technique.start()
     env.run(duration=point.duration)
-    # Point-level evasion verdict for the record rows: read-only
-    # (run_analyst=False) so probing the risk model never perturbs the
-    # surveillance summary the report already carries.
+    # Point-level risk for the record rows.  Passing ``now`` runs the
+    # analyst's triage, which only opens investigations: it writes no
+    # metric and ``SurveillanceSystem.summary`` holds no analyst state, so
+    # the report below is the same with or without it.
     risk = assess_risk(
         env.surveillance,
         technique=technique.name,
         measurer_user=env.topo.measurement_client.user or "measurer",
         measurer_ip=env.topo.measurement_client.ip,
-        run_analyst=False,
+        now=env.sim.now,
     )
     # Record rows carry the enforcing model's family name; a clean
     # vantage has nothing enforcing (every family is inert under a
@@ -141,7 +142,7 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
     rows = _record_rows(
         point, technique.results, registry,
         censor=point.censor_name() if censored else "none",
-        evaded=risk.evaded,
+        risk=risk,
         background_bytes=(
             env.population.bytes_total() if env.population is not None else 0
         ),
@@ -151,11 +152,6 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
         "technique_done": technique.done,
         "censor_events": len(env.censor.events),
         "records": rows,
-        "risk": {
-            "attributed_alerts": risk.attributed_alerts,
-            "attribution_confidence": risk.attribution_confidence,
-            "evaded": risk.evaded,
-        },
         "report": run_report(
             registry=registry,
             sim=env.sim,

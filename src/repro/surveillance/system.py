@@ -9,8 +9,8 @@ paper Section 2.1:
    retained as content (byte-budgeted, 7.5 %) and flow metadata.
 2. **Analyst triage** — user-attributable alerts from the interest ruleset
    (censored-content access, circumvention signatures) are retained for a
-   year and escalated by the :class:`Analyst` when a user crosses the
-   threshold.
+   year and escalated by the :class:`Analyst` from the first alert
+   attributed to a user, within its daily capacity.
 
 Evasion, in the paper's terms, means: the measurement completes without the
 system retaining a *user-attributed alert* for the measurer.
@@ -60,7 +60,6 @@ class SurveillanceSystem(Middlebox):
         profile: SurveillanceProfile = NSA_PROFILE,
         attribution: Optional[AttributionEngine] = None,
         variables: Optional[Dict[str, str]] = None,
-        escalation_threshold: int = 3,
         extra_rules: str = "",
         detection_ruleset: Optional[str] = None,
         interest_ruleset: Optional[str] = None,
@@ -68,7 +67,10 @@ class SurveillanceSystem(Middlebox):
         self.profile = profile
         self.attribution = attribution
         self.store = RetentionStore(profile)
-        self.analyst = Analyst(profile, escalation_threshold=escalation_threshold)
+        # One attributed alert is enough to escalate: the paper's risk is
+        # being attributed at all (the E9 claim).  Capacity, not the
+        # threshold, is what a spoofed cover crowd exploits.
+        self.analyst = Analyst(profile, escalation_threshold=1)
         variables = dict(variables or DEFAULT_VARIABLES)
         if detection_ruleset is None:
             detection_ruleset = mvr_detection_ruleset_text()

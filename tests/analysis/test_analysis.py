@@ -28,7 +28,7 @@ def score(results, blocked, control=()):
     """Score results the sweep's way: record rows through RecordAnalysis
     (censored vantage, so blocked names are truly blocked)."""
     rows = rows_from_point(POINT, results, vantage="censored", censor="gfc",
-                           evaded=None)
+                           risk=None)
     analysis = RecordAnalysis(blocked_targets=blocked, control_targets=control)
     return analysis.extend(rows).matrix()["t"]
 

@@ -1,9 +1,21 @@
-"""Tests for the deck's JSON campaign document."""
+"""Tests for the JSON export of measurement results.
+
+A result leaves a run as a record row (:func:`repro.results.rows_from_point`);
+a campaign's document is the record file: a header line, then one row per
+result (:func:`repro.results.write_records`).
+"""
 
 import json
 
-from repro.analysis.export import campaign_document, result_to_record, risk_to_record
 from repro.core import MeasurementResult, RiskAssessment, Verdict
+from repro.results import (
+    RECORD_SCHEMA,
+    ROW_FIELDS,
+    iter_rows,
+    read_header,
+    rows_from_point,
+    write_records,
+)
 
 
 def result(target="twitter.com", verdict=Verdict.DNS_POISONED):
@@ -18,55 +30,53 @@ def result(target="twitter.com", verdict=Verdict.DNS_POISONED):
     )
 
 
+def point(index=0, technique="spam"):
+    return {"index": index, "seed": 7, "technique": technique,
+            "topology": "censored-as", "loss": 0.0, "retry": "single-shot"}
+
+
+def record(res, risk=None):
+    (row,) = rows_from_point(point(), [res], vantage="censored",
+                             censor="gfc", risk=risk)
+    return row
+
+
 class TestResultRecord:
     def test_round_trips_through_json(self):
-        record = result_to_record(result())
-        parsed = json.loads(json.dumps(record))
+        row = record(result())
+        parsed = json.loads(json.dumps(row))
+        assert parsed == row
         assert parsed["technique"] == "spam"
+        assert parsed["target"] == "twitter.com"
         assert parsed["verdict"] == "dns_poisoned"
-        assert parsed["blocked"] is True
-        assert parsed["evidence"]["stage"] == "mx"
-
-    def test_bytes_evidence_encoded(self):
-        record = result_to_record(result())
-        assert record["evidence"]["raw"] == "\x01\x02"
+        assert parsed["reason"] == "poisoned"
+        assert parsed["latency"] == 1.5
 
     def test_verdict_values_stable(self):
         for verdict in Verdict:
-            record = result_to_record(result(verdict=verdict))
-            assert record["verdict"] == verdict.value
-
-
-class TestRiskRecord:
-    def test_fields(self):
-        risk = RiskAssessment("spam", 0, 0, None, 0.0, 0.0, False)
-        record = risk_to_record(risk)
-        assert record["evaded"] is True
-        assert record["risk_score"] == 0.0
-        json.dumps(record)  # must be JSON-safe
+            assert record(result(verdict=verdict))["verdict"] == verdict.value
 
 
 class TestCampaignDocument:
-    def test_document_structure(self):
-        doc = campaign_document(
-            {"spam": [result()], "overt": [result(verdict=Verdict.ACCESSIBLE)]},
-            risks=[RiskAssessment("spam", 0, 0, None, 0.0, 0.0, False)],
-            metadata={"seed": 7},
+    def test_document_structure(self, tmp_path):
+        risk = RiskAssessment("spam", 0, 0, None, 0.0, 0.0, False)
+        rows = (
+            rows_from_point(point(0, "spam"), [result()], vantage="censored",
+                            censor="gfc", risk=risk)
+            + rows_from_point(point(1, "overt"),
+                              [result(verdict=Verdict.ACCESSIBLE)],
+                              vantage="censored", censor="gfc", risk=None)
         )
-        parsed = json.loads(doc)
-        assert parsed["kind"] == "campaign"
-        assert parsed["metadata"]["seed"] == 7
-        assert parsed["summary"]["spam"] == {"dns_poisoned": 1}
-        assert len(parsed["risks"]) == 1
-
-    def test_integrates_with_real_campaign(self):
-        from repro.core import SpamMeasurement, build_environment
-
-        env = build_environment(censored=True, seed=16, population_size=3)
-        technique = SpamMeasurement(env.ctx, ["twitter.com", "example.org"])
-        technique.start()
-        env.run(duration=30.0)
-        doc = campaign_document({"spam": technique.results})
-        parsed = json.loads(doc)
-        assert parsed["summary"]["spam"]["dns_poisoned"] == 1
-        assert parsed["summary"]["spam"]["accessible"] == 1
+        path = str(tmp_path / "campaign.records.jsonl")
+        summary = write_records(path, "cafe0123cafe0123", rows)
+        header = read_header(path)
+        assert header["kind"] == "header"
+        assert header["schema"] == RECORD_SCHEMA
+        assert header["fields"] == list(ROW_FIELDS)
+        assert summary == {"rows": 2,
+                           "by_verdict": {"accessible": 1, "dns_poisoned": 1}}
+        parsed = list(iter_rows(path))
+        assert parsed == rows
+        assert parsed[0]["seed"] == 7
+        assert parsed[0]["evaded"] is True
+        assert parsed[1]["evaded"] is None

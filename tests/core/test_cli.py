@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.results import ROW_FIELDS
 
 
 class TestParser:
@@ -72,6 +74,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "attributed alerts" in out
 
+    def test_risk_metrics_out_carries_the_point_metrics(self, tmp_path):
+        path = tmp_path / "risk.metrics.json"
+        assert main(["risk", "--technique", "spam", "--duration", "30",
+                     "--metrics-out", str(path)]) == 0
+        instruments = json.loads(path.read_text())["instruments"]
+        assert "measurement_rows_total" in instruments
+        assert "link_bytes_carried_total" in instruments
+
 
 class TestMatrixCommand:
     def test_matrix_runs_and_reports(self, capsys):
@@ -85,6 +95,13 @@ class TestMatrixCommand:
     def test_matrix_rejects_negative_cover(self, capsys):
         assert main(["matrix", "--cover", "-3"]) == 1
         assert capsys.readouterr().err.startswith("error: cover must be >= 0")
+
+    @pytest.mark.parametrize("command", ["matrix", "risk"])
+    def test_cover_beyond_the_population_is_one_error_line(self, capsys, command):
+        assert main([command, "--cover", "30"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cover must be <= 20")
+        assert err.count("\n") == 1
 
 
 class TestDeckCommand:
@@ -100,7 +117,16 @@ class TestDeckCommand:
         assert main(["deck", "--posture", "stealthy", "--duration", "60",
                      "--domains", "twitter.com", "--json"]) == 0
         out = capsys.readouterr().out
-        assert '"kind": "campaign"' in out
+        rows = [json.loads(line) for line in out.splitlines()
+                if line.startswith("{")]
+        assert {row["technique"] for row in rows} == {
+            "deck-stealthy/dns_consistency", "deck-stealthy/http_reachability",
+            "deck-stealthy/tcp_reachability",
+        }
+        assert all(tuple(sorted(row)) == ROW_FIELDS for row in rows)
+        # the deck's risk is stamped on every row
+        assert {(row["evaded"], row["attributed_alerts"]) for row in rows} \
+            == {(True, 0)}
 
 
 class TestSweepArgumentValidation:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import build_environment
 from repro.core.platform import MeasurementPlatform, RISK_POSTURES
+from repro.results import rows_from_point
 
 DOMAINS = ["twitter.com", "example.org"]
 
@@ -37,10 +38,12 @@ class TestPostures:
         env, report = run_platform("overt", censored=False)
         # Open network so the HTTP content flows and the interest rule fires.
         assert not report.risk.evaded
+        assert report.risk.investigated
 
     def test_stealthy_posture_evades(self):
         _env, report = run_platform("stealthy")
         assert report.risk.evaded
+        assert not report.risk.investigated
 
     def test_paranoid_posture_diluted(self):
         _env, report = run_platform("paranoid")
@@ -56,9 +59,19 @@ class TestDeckReport:
         assert all(results for results in report.results_by_test.values())
 
     def test_json_document(self):
+        # The deck's JSON form: one record row per result, the deck's risk
+        # stamped on each (what ``repro deck --json`` prints).
         _env, report = run_platform("stealthy")
-        parsed = json.loads(report.to_json())
-        assert parsed["metadata"]["posture"] == "stealthy"
-        assert parsed["metadata"]["domains"] == DOMAINS
-        assert "dns_consistency" in parsed["techniques"]
-        assert parsed["risks"][0]["evaded"] is True
+        rows = []
+        for index, (test_name, results) in enumerate(report.results_by_test.items()):
+            point = {"index": index, "seed": 22, "loss": 0.0,
+                     "retry": "single-shot", "topology": "censored-as",
+                     "technique": f"deck-stealthy/{test_name}"}
+            rows += rows_from_point(point, results, vantage="censored",
+                                    censor="gfc", risk=report.risk)
+        parsed = [json.loads(json.dumps(row)) for row in rows]
+        assert parsed == rows
+        assert "deck-stealthy/dns_consistency" in {row["technique"] for row in parsed}
+        assert all(any(domain in row["target"] for domain in DOMAINS)
+                   for row in parsed)
+        assert all(row["evaded"] is True for row in parsed)

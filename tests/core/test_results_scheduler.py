@@ -1,10 +1,7 @@
-"""Unit tests for verdicts, results, and campaign scheduling."""
+"""Unit tests for verdicts and results."""
 
-import pytest
-
-from repro.core import MeasurementCampaign, MeasurementResult, Verdict, summarize
+from repro.core import MeasurementResult, Verdict, summarize
 from repro.core.results import blocked_verdicts
-from repro.netsim import Simulator
 
 
 class TestVerdict:
@@ -41,125 +38,3 @@ class TestMeasurementResult:
             MeasurementResult("t", "c", Verdict.BLOCKED_RST),
         ]
         assert summarize(results) == {"accessible": 2, "blocked_rst": 1}
-
-
-class _FakeTechnique:
-    name = "fake"
-
-    def __init__(self, sim, results_to_emit=1):
-        self.sim = sim
-        self.results = []
-        self._count = results_to_emit
-        self.started_at = None
-
-    def start(self):
-        self.started_at = self.sim.now
-        for index in range(self._count):
-            self.results.append(
-                MeasurementResult("fake", f"target{index}", Verdict.ACCESSIBLE)
-            )
-
-    @property
-    def done(self):
-        return len(self.results) >= self._count
-
-
-class TestCampaign:
-    def test_staggered_starts(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        first, second = _FakeTechnique(sim), _FakeTechnique(sim)
-        campaign.add(first, at=0.0).add(second, at=5.0)
-        campaign.run(duration=10.0)
-        assert first.started_at == 0.0
-        assert second.started_at == 5.0
-
-    def test_all_results_aggregated(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.add(_FakeTechnique(sim, 2)).add(_FakeTechnique(sim, 3))
-        campaign.run(duration=1.0)
-        assert len(campaign.all_results()) == 5
-
-    def test_results_by_technique(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.add(_FakeTechnique(sim, 2))
-        campaign.run(duration=1.0)
-        assert len(campaign.results_by_technique()["fake"]) == 2
-
-    def test_done_tracks_all(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.add(_FakeTechnique(sim), at=0.0)
-        campaign.add(_FakeTechnique(sim), at=100.0)
-        campaign.run(duration=1.0)
-        assert not campaign.done  # second never started
-        sim.run(until=200.0)
-        assert campaign.done
-
-
-class TestPostStartAdd:
-    """Regression: ``add()`` after ``start()`` was silently never
-    scheduled, so ``done`` stayed false and ``run_until_done`` burned its
-    whole ``max_duration``."""
-
-    def test_add_after_start_schedules_immediately(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.start()
-        late = _FakeTechnique(sim)
-        campaign.add(late, at=2.0)
-        sim.run(until=5.0)
-        assert late.started_at == 2.0
-        assert campaign.done
-
-    def test_add_with_past_offset_fires_now(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.start()
-        sim.run(until=10.0)  # campaign start was at t=0; offset 2 is past
-        late = _FakeTechnique(sim)
-        campaign.add(late, at=2.0)
-        sim.run(until=sim.now + 0.1)
-        assert late.started_at == 10.0
-
-    def test_post_start_add_completes_run_until_done_quickly(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        campaign.start()
-        campaign.add(_FakeTechnique(sim))
-        assert campaign.run_until_done(max_duration=600.0) is True
-        assert sim.now < 600.0  # did not burn the whole budget
-
-    def test_offsets_are_relative_to_campaign_start_time(self):
-        sim = Simulator()
-        sim.run(until=50.0)
-        campaign = MeasurementCampaign(sim)
-        technique = _FakeTechnique(sim)
-        campaign.add(technique, at=3.0)
-        campaign.run(duration=10.0)
-        assert technique.started_at == 53.0
-
-    def test_start_is_idempotent(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        technique = _FakeTechnique(sim, results_to_emit=1)
-        campaign.add(technique)
-        campaign.start()
-        campaign.start()  # second start must not double-schedule
-        sim.run(until=1.0)
-        assert len(technique.results) == 1
-        assert campaign.started
-
-
-class TestEmptyCampaign:
-    def test_empty_campaign_is_vacuously_done(self):
-        campaign = MeasurementCampaign(Simulator())
-        assert campaign.done
-
-    def test_empty_run_until_done_returns_without_burning_time(self):
-        sim = Simulator()
-        campaign = MeasurementCampaign(sim)
-        assert campaign.run_until_done(max_duration=600.0) is True
-        assert sim.now == 0.0

@@ -18,7 +18,6 @@ from repro.core import (
     Verdict,
     aggregate_attempts,
 )
-from repro.core.scheduler import MeasurementCampaign
 from repro.netsim import GilbertElliottLoss, WebServer, build_three_node
 
 
@@ -153,21 +152,3 @@ class TestRetryingScanUnderLoss:
         assert retried.evidence["unresolved_ports"] == 0
         assert retried.verdict is Verdict.ACCESSIBLE
         assert retried.attempts > 1
-
-
-class TestRunUntilDone:
-    def test_campaign_stops_at_completion(self):
-        topo = build_three_node(seed=5)
-        ctx = MeasurementContext(
-            client=topo.client, retry_policy=RetryPolicy(max_attempts=3, timeout=1.0)
-        )
-        technique = ScanMeasurement(
-            ctx, [ScanTarget(topo.server.ip, [80], "server")], port_count=10,
-            timeout=1.0,
-        )
-        campaign = MeasurementCampaign(topo.sim).add(technique)
-        completed = campaign.run_until_done(max_duration=300.0)
-        assert completed
-        assert technique.done
-        # Lossless: one round suffices, so we stop far before the cap.
-        assert topo.sim.now < 60.0

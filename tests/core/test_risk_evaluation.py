@@ -8,7 +8,6 @@ from repro.core import (
     SpamMeasurement,
     Verdict,
     assess_risk,
-    comparison_table,
 )
 from repro.core.evaluation import (
     BLOCKED_TARGETS,
@@ -37,18 +36,10 @@ class TestRiskAssessment:
         diluted = RiskAssessment("t", 5, 5, 1, 0.1, 3.5, False)
         assert diluted.risk_score() < confident.risk_score()
 
-    def test_comparison_table_renders(self):
-        rows = [RiskAssessment("overt", 3, 3, 1, 1.0, 0.0, True),
-                RiskAssessment("spam", 0, 0, None, 0.0, 0.0, False)]
-        table = comparison_table(rows)
-        assert "overt" in table and "spam" in table
-        assert "technique" in table
-
 
 class TestAssessRisk:
     def test_overt_measurer_assessed_risky(self):
         env = build_environment(censored=False, seed=50, population_size=4)
-        env.surveillance.analyst.escalation_threshold = 1
         technique = OvertHTTPMeasurement(env.ctx, BLOCKED_TARGETS)
         technique.start()
         env.run(duration=30.0)

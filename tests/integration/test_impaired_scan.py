@@ -79,7 +79,7 @@ def _rows_at_loss(index: int, loss_rate: float, policy: RetryPolicy, retry: str)
     point = dict(index=index, seed=31, technique="scan", topology="three-node",
                  loss=loss_rate, retry=retry)
     return rows_from_point(point, [result], vantage="censored", censor="none",
-                           evaded=None)
+                           risk=None)
 
 
 @pytest.mark.slow

@@ -153,6 +153,40 @@ class TestMatrix:
         doc = analyze_records([row(evaded=None)])
         assert doc["matrix"]["scan"]["evasion"] is None
 
+    def test_risk_columns_fold_once_per_point(self):
+        risk = dict(attributed_alerts=2, true_origin_alerts=4,
+                    attribution_confidence=0.5, investigated=True)
+        doc = analyze_records([
+            row(point=0, seq=0, **risk),
+            row(point=0, seq=1, target="twitter.com", **risk),
+            row(point=1, seq=0, attributed_alerts=0, true_origin_alerts=0,
+                attribution_confidence=0.0, investigated=False),
+        ])
+        cells = doc["matrix"]["scan"]
+        # two points with risk data: seq>0 rows must not vote
+        assert cells["attributed_alerts"] == pytest.approx(1.0)
+        assert cells["attribution_confidence"] == pytest.approx(0.25)
+        assert cells["investigated"] == pytest.approx(0.5)
+
+    def test_risk_columns_none_without_mvr_or_in_schema_2_rows(self):
+        # row() carries no risk columns at all (a schema-2 row); a
+        # three-node row carries them as null
+        doc = analyze_records([
+            row(), row(point=1, technique="t", attributed_alerts=None,
+                       true_origin_alerts=None, attribution_confidence=None,
+                       investigated=None),
+        ])
+        for technique in ("scan", "t"):
+            cells = doc["matrix"][technique]
+            assert cells["attributed_alerts"] is None
+            assert cells["attribution_confidence"] is None
+            assert cells["investigated"] is None
+
+    def test_stateful_probe_keyword_is_blocked_ground_truth(self):
+        analysis = RecordAnalysis()
+        assert analysis.truly_blocked("GET /falun HTTP/1.1", "censored") is True
+        assert analysis.truly_blocked("GET /falun HTTP/1.1", "clean") is False
+
     def test_unknown_targets_do_not_enter_the_confusion(self):
         doc = analyze_records([
             row(target="mystery.example", verdict="blocked_rst"),
@@ -228,4 +262,21 @@ class TestMalformedRows:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"verdict":"accessible"}\n')
         with pytest.raises(ValueError, match="'technique' column"):
+            analyze_records(iter_rows(path))
+
+    @pytest.mark.parametrize("column, value", [
+        ("attempts", "x"),
+        ("confidence", [1]),
+        ("technique", ["scan"]),
+        ("population", float("inf")),
+    ])
+    def test_wrongly_typed_column_is_a_value_error_naming_the_row(
+            self, column, value):
+        with pytest.raises(ValueError, match="record row 2 "):
+            analyze_records([row(), row(point=1, **{column: value})])
+
+    def test_wrongly_typed_column_from_a_record_file(self, tmp_path):
+        path = str(tmp_path / "c.records.jsonl")
+        write_records(path, "cafe", [row(), row(point=1, attempts="x")])
+        with pytest.raises(ValueError, match="record row 2 has a wrongly typed"):
             analyze_records(iter_rows(path))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MeasurementResult, Verdict
+from repro.core import MeasurementResult, RiskAssessment, Verdict
 from repro.results import (
     RECORD_SCHEMA,
     ROW_FIELDS,
@@ -33,11 +33,22 @@ def result(target="facebook.com", verdict=Verdict.BLOCKED_RST):
                              time=1.25, samples=4, attempts=2, confidence=0.75)
 
 
+def risk(attributed=0, investigated=False):
+    """A point-level risk assessment: ``attributed`` alerts on the measurer
+    out of ``2 * attributed`` whose true origin was the measurer."""
+    return RiskAssessment(
+        "scan", attributed_alerts=attributed, true_origin_alerts=2 * attributed,
+        suspect_rank=1 if attributed else None,
+        attribution_confidence=0.5 if attributed else 0.0,
+        suspect_entropy=1.0 if attributed else 0.0, investigated=investigated,
+    )
+
+
 def make_rows(point_index=0, count=2):
     return rows_from_point(
         point_dict(point_index),
         [result(target=f"t{i}") for i in range(count)],
-        vantage="censored", censor="gfc", evaded=True,
+        vantage="censored", censor="gfc", risk=risk(),
     )
 
 
@@ -54,7 +65,7 @@ class TestRowsFromPoint:
     def test_point_and_result_fields_map_through(self):
         (row,) = rows_from_point(
             point_dict(7), [result()],
-            vantage="clean", censor="none", evaded=None,
+            vantage="clean", censor="none", risk=None,
         )
         assert row["point"] == 7
         assert row["technique"] == "scan"
@@ -70,6 +81,22 @@ class TestRowsFromPoint:
         assert row["vantage"] == "clean"
         assert row["censor"] == "none"
         assert row["evaded"] is None
+        for column in ("attributed_alerts", "true_origin_alerts",
+                       "attribution_confidence", "investigated"):
+            assert row[column] is None
+
+    def test_risk_columns_stamped_on_every_row(self):
+        rows = rows_from_point(
+            point_dict(), [result(target="a"), result(target="b")],
+            vantage="censored", censor="gfc",
+            risk=risk(attributed=2, investigated=True),
+        )
+        for row in rows:
+            assert row["evaded"] is False
+            assert row["attributed_alerts"] == 2
+            assert row["true_origin_alerts"] == 4
+            assert row["attribution_confidence"] == 0.5
+            assert row["investigated"] is True
 
     def test_rows_are_json_scalars_only(self):
         for row in make_rows(count=2):
@@ -201,7 +228,7 @@ class TestShardUnionProperty:
             rows = rows_from_point(
                 point_dict(index),
                 [result(target=f"t{i}") for i in range(count)],
-                vantage="censored", censor="gfc", evaded=False,
+                vantage="censored", censor="gfc", risk=risk(attributed=1),
             )
             records.append({"index": index, "status": "ok", "records": rows})
         return records

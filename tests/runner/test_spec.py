@@ -293,6 +293,17 @@ class TestMalformedSpecs:
         with pytest.raises(ValueError, match=key):
             SweepSpec.from_mapping({key: value})
 
+    def test_cover_beyond_the_population_rejected(self):
+        # censored-as draws cover from its 20 population hosts; a larger
+        # cover used to be truncated silently
+        with pytest.raises(ValueError, match="^cover must be <= 20"):
+            SweepSpec.from_mapping({"topologies": ["censored-as"],
+                                    "techniques": ["spoofed-dns"], "cover": 21})
+        SweepSpec.from_mapping({"topologies": ["censored-as"],
+                                "techniques": ["spoofed-dns"], "cover": 20})
+        # three-node points run no cover-using technique
+        SweepSpec.from_mapping({"cover": 30})
+
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="mapping"):
             SweepSpec.from_mapping([["seeds", [0]]])

@@ -134,7 +134,6 @@ class TestMVRPipeline:
 
     def test_analyst_integration(self, world):
         topo, surv = world
-        surv.analyst.escalation_threshold = 1
         http_get(topo.measurement_client, topo.blocked_web.ip, "twitter.com",
                  callback=lambda r: None)
         topo.run()
