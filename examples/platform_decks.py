@@ -3,39 +3,50 @@
 
 The platform runs three tests (DNS consistency, HTTP reachability, TCP
 reachability) over a target list, choosing overt or stealthy
-implementations per the configured risk posture, and assesses what the
-surveillance system knows about the measurer afterwards.  The deck's
-results as record rows (JSON lines): ``python -m repro deck --json``.
+implementations per the risk posture.  Each posture is one technique,
+``deck-POSTURE``; this runs the three as the points of one sweep spec at
+the censored vantage and reads what the surveillance system knows about
+the measurer from each point's risk columns.  The deck's results as
+record rows (JSON lines): ``python -m repro deck --json``.
 
 Run:  python examples/platform_decks.py
 """
 
 from repro.analysis import render_table
-from repro.core import MeasurementPlatform, build_environment
-from repro.core.evaluation import BLOCKED_TARGETS_FULL
+from repro.core import Verdict
+from repro.core.evaluation import DECK_TECHNIQUES
+from repro.runner import SweepSpec, run_point
 
-# The full blocked list plus controls: bulk enough that the volume-
-# threshold interest rules have something to see in the overt posture.
-DOMAINS = list(BLOCKED_TARGETS_FULL) + ["example.org", "weather.gov"]
+SPEC = SweepSpec.from_mapping({
+    "name": "platform-decks",
+    "base_seed": 6,
+    "techniques": list(DECK_TECHNIQUES),
+    "topologies": ["censored-as"],
+    "vantages": ["censored"],
+    "censors": ["gfc"],
+    "duration": 120.0,
+    "cover": 11,
+})
 
 
 def main():
     rows = []
-    for posture in ("overt", "stealthy", "paranoid"):
-        env = build_environment(censored=True, seed=6, population_size=14)
-        platform = MeasurementPlatform(env, posture=posture)
-        report = platform.run_deck(DOMAINS, duration=120.0)
+    for point in SPEC.points():
+        records = run_point(point.as_dict(), in_process=True)["records"]
+        blocked = sorted({row["target"] for row in records
+                          if Verdict(row["verdict"]).indicates_blocking})
+        risk = records[0]
         rows.append([
-            posture,
-            ",".join(report.blocked_domains()),
-            report.risk.attributed_alerts,
-            report.risk.attribution_confidence,
-            "yes" if report.risk.investigated else "no",
-            "yes" if report.risk.evaded else "no",
+            point.technique,
+            ",".join(blocked),
+            risk["attributed_alerts"],
+            risk["attribution_confidence"],
+            "yes" if risk["investigated"] else "no",
+            "yes" if risk["evaded"] else "no",
         ])
 
     print(render_table(
-        ["posture", "blocked domains found", "attributed alerts",
+        ["technique", "blocked targets found", "attributed alerts",
          "confidence", "investigated", "evaded"],
         rows,
         title="the same deck at three risk postures",

@@ -25,12 +25,7 @@ from .analysis import (
 )
 from .censor import censor_families
 from .core import build_environment
-from .core.evaluation import (
-    BLOCKED_TARGETS_FULL,
-    CONTROL_TARGETS_FULL,
-    TECHNIQUES,
-    technique_factory as _technique_factory,
-)
+from .core.evaluation import BLOCKED_TARGETS_FULL, CONTROL_TARGETS_FULL, TECHNIQUES
 from .netsim import http_get, resolve
 from .obs import (
     MetricsRegistry,
@@ -100,31 +95,41 @@ def cmd_vantage(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_risk(args: argparse.Namespace) -> int:
-    """One technique at the censored vantage, run as a one-point sweep: its
-    record rows, then the point's risk columns."""
+def _run_one_point(args: argparse.Namespace, technique: str, vantage: str):
+    """Run ``technique`` as a one-point sweep in the censored AS and
+    return the point's record (``None`` after one ``error:`` line when
+    the spec is rejected).  ``--seed`` is the spec's base seed."""
     from .runner import SweepSpec, run_point
 
     try:
         spec = SweepSpec.from_mapping({
-            "name": "risk",
+            "name": args.command,
             "base_seed": args.seed,
-            "techniques": [args.technique],
+            "techniques": [technique],
             "topologies": ["censored-as"],
-            "vantages": ["censored"],
+            "vantages": [vantage],
             "censors": [args.censor],
             "duration": args.duration,
             "cover": args.cover,
         })
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return None
     (point,) = spec.points()
     record = run_point(point.as_dict(), in_process=True)
     registry = active_or_none()
     if registry is not None:
         # --metrics-out: the point ran under a registry of its own
         registry.merge(record["report"]["metrics"])
+    return record
+
+
+def cmd_risk(args: argparse.Namespace) -> int:
+    """One technique at the censored vantage, run as a one-point sweep: its
+    record rows, then the point's risk columns."""
+    record = _run_one_point(args, args.technique, "censored")
+    if record is None:
+        return 1
     rows = record["records"]
 
     shown = rows[: args.max_results]
@@ -153,84 +158,68 @@ def cmd_risk(args: argparse.Namespace) -> int:
 
 
 def cmd_deck(args: argparse.Namespace) -> int:
-    from .core.platform import MeasurementPlatform
+    """The platform's test deck at one risk posture: the ``deck-POSTURE``
+    technique run as a one-point sweep over
+    :data:`repro.core.platform.DECK_TARGETS`."""
+    from .core.results import Verdict
 
-    env = build_environment(censored=not args.open, seed=args.seed,
-                            censor=args.censor)
-    platform = MeasurementPlatform(env, posture=args.posture, cover_size=args.cover)
-    domains = args.domains or list(BLOCKED_TARGETS_FULL)[:5] + CONTROL_TARGETS_FULL[:2]
-    report = platform.run_deck(domains, duration=args.duration)
+    record = _run_one_point(args, f"deck-{args.posture}",
+                            "clean" if args.open else "censored")
+    if record is None:
+        return 1
+    rows = record["records"]
 
-    rows = []
-    for test_name, results in report.results_by_test.items():
-        for result in results:
-            rows.append([test_name, result.target, result.verdict.value])
-    print(render_table(["test", "target", "verdict"], rows,
-                       title=f"deck results ({args.posture} posture)"))
-    print(f"\nblocked domains: {', '.join(report.blocked_domains()) or '(none)'}")
-    risk = report.risk
-    print(
-        f"risk: {risk.attributed_alerts} attributed alert(s), confidence "
-        f"{risk.attribution_confidence:.2f}, investigated={risk.investigated}, "
-        f"evaded={risk.evaded}"
-    )
+    print(render_table(
+        ["target", "verdict", "reason"],
+        [[row["target"], row["verdict"], row["reason"]] for row in rows],
+        title=f"deck results ({args.posture} posture)",
+    ))
+    blocked = sorted({row["target"] for row in rows
+                      if Verdict(row["verdict"]).indicates_blocking})
+    print(f"\nblocked targets: {', '.join(blocked) or '(none)'}")
+    if rows:
+        risk = rows[0]
+        print(
+            f"risk: {risk['attributed_alerts']} attributed alert(s), confidence "
+            f"{risk['attribution_confidence']:.2f}, "
+            f"investigated={risk['investigated']}, evaded={risk['evaded']}"
+        )
     if args.json:
         from .obs.export import canonical_json
-        from .results import rows_from_point
 
-        # The deck's results as record rows, one point per deck test.
         print()
-        for index, (test_name, results) in enumerate(report.results_by_test.items()):
-            point = {
-                "index": index, "seed": args.seed, "loss": 0.0,
-                "retry": "single-shot", "topology": "censored-as",
-                "technique": f"deck-{args.posture}/{test_name}",
-            }
-            for row in rows_from_point(
-                point, results,
-                vantage="clean" if args.open else "censored",
-                censor="none" if args.open else args.censor,
-                risk=risk,
-            ):
-                print(canonical_json(row))
+        for row in rows:
+            print(canonical_json(row))
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one technique fully instrumented; export trace + metrics files.
 
-    Produces ``PREFIX.trace.json`` (Chrome trace-event format — open in
-    chrome://tracing or https://ui.perfetto.dev), ``PREFIX.trace.jsonl``
-    (one event per line), and ``PREFIX.metrics.json`` (the folded run
-    report).  Exports are deterministic: same seed, same bytes.
+    The technique runs as a one-point sweep (``--seed`` is its base
+    seed).  Produces ``PREFIX.trace.json`` (Chrome trace-event format —
+    open in chrome://tracing or https://ui.perfetto.dev),
+    ``PREFIX.trace.jsonl`` (one event per line), and
+    ``PREFIX.metrics.json`` (the point's run report).  Exports are
+    deterministic: same seed, same bytes.
     """
-    from .analysis.metrics import run_report
-
-    registry = MetricsRegistry()
     categories = set(args.categories) if args.categories else None
     tracer = Tracer(categories=categories)
-    with use_registry(registry), use_tracer(tracer):
-        env = build_environment(censored=not args.open, seed=args.seed,
-                                censor=args.censor)
-        tracer.bind_clock(lambda: env.sim.now)
-        technique = _technique_factory(args.technique, args.cover)(env)
-        technique.start()
-        env.run(duration=args.duration)
+    with use_tracer(tracer):
+        record = _run_one_point(args, args.technique,
+                                "clean" if args.open else "censored")
+    if record is None:
+        return 1
     unfinished = tracer.finalize()
 
     chrome_path = tracer.write_chrome(f"{args.out}.trace.json")
     jsonl_path = tracer.write_jsonl(f"{args.out}.trace.jsonl")
-    report = run_report(
-        registry=registry,
-        sim=env.sim,
-        links=env.topo.network.links,
-        surveillance=env.surveillance,
-    )
+    report = record["report"]
     metrics_path = write_json(f"{args.out}.metrics.json", report)
 
     print(f"technique: {args.technique}  seed={args.seed}  "
-          f"simulated {env.sim.now:.1f}s")
-    print(f"results: {len(technique.results)}  "
+          f"simulated {report['simulator']['now']:.1f}s")
+    print(f"results: {len(record['records'])}  "
           f"trace events: {len(tracer.events)}"
           + (f"  (force-closed {unfinished} open span(s))" if unfinished else ""))
     print(f"wrote {chrome_path}  <- load this in chrome://tracing or Perfetto")
@@ -530,13 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
                           parents=[common])
     deck.add_argument("--posture", choices=("overt", "stealthy", "paranoid"),
                       default="stealthy")
-    deck.add_argument("--seed", type=int, default=0)
+    deck.add_argument("--seed", type=int, default=0,
+                      help="base seed of the one-point sweep")
     deck.add_argument("--duration", type=float, default=120.0)
     deck.add_argument("--cover", type=int, default=11)
     deck.add_argument("--open", action="store_true", help="disable the censor")
     deck.add_argument("--censor", choices=censor_families(), default="gfc",
                       help="censor-model family at the border (default: gfc)")
-    deck.add_argument("--domains", nargs="*")
     deck.add_argument("--json", action="store_true",
                       help="also print the deck's record rows as JSON lines")
     deck.set_defaults(func=cmd_deck)
@@ -546,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one technique fully instrumented; export a Perfetto trace",
     )
     trace.add_argument("--technique", choices=TECHNIQUES, default="scan")
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--seed", type=int, default=0,
+                       help="base seed of the one-point sweep")
     trace.add_argument("--duration", type=float, default=90.0)
     trace.add_argument("--cover", type=int, default=11)
     trace.add_argument("--open", action="store_true", help="disable the censor")

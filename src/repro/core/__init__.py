@@ -16,7 +16,6 @@ from .keywords import KeywordIsolator, KeywordProbeMeasurement
 from .longitudinal import LongitudinalCampaign
 from .measurement import MeasurementContext, MeasurementTechnique, RetryPolicy
 from .overt import OvertDNSMeasurement, OvertHTTPMeasurement, interpret_dns
-from .platform import DeckReport, MeasurementPlatform, RISK_POSTURES
 from .residual import ResidualBlockingMeasurement
 from .results import (
     MeasurementResult,
@@ -39,15 +38,12 @@ __all__ = [
     "KeywordIsolator",
     "KeywordProbeMeasurement",
     "LongitudinalCampaign",
-    "DeckReport",
     "MeasurementContext",
     "MeasurementResult",
     "MeasurementTechnique",
-    "MeasurementPlatform",
     "MimicryServer",
     "OvertDNSMeasurement",
     "OvertHTTPMeasurement",
-    "RISK_POSTURES",
     "ResidualBlockingMeasurement",
     "ResponsePair",
     "RetryPolicy",

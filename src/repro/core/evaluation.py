@@ -25,6 +25,7 @@ __all__ = [
     "build_environment",
     "technique_factory",
     "TECHNIQUES",
+    "DECK_TECHNIQUES",
     "POPULATION_SIZE",
     "BLOCKED_TARGETS",
     "CONTROL_TARGETS",
@@ -69,8 +70,19 @@ class Environment:
         return self.topo.run(duration)
 
     def cover_ips(self, count: Optional[int] = None) -> List[str]:
-        """Addresses of population hosts usable as spoofed cover."""
-        hosts = self.topo.population if count is None else self.topo.population[:count]
+        """Addresses of population hosts usable as spoofed cover.
+
+        Raises ``ValueError`` when ``count`` exceeds the population: a
+        short crowd would change the technique's attribution odds
+        silently.
+        """
+        hosts = self.topo.population
+        if count is not None:
+            if count > len(hosts):
+                raise ValueError(
+                    f"cover {count} exceeds the {len(hosts)} population hosts"
+                )
+            hosts = hosts[:count]
         return [host.ip for host in hosts]
 
 
@@ -178,12 +190,18 @@ TECHNIQUES = (
     "stateful",
 )
 
+#: The measurement platform's decks, one per risk posture
+#: (:mod:`repro.core.platform`); accepted by :func:`technique_factory`
+#: and sweep specs alongside :data:`TECHNIQUES`.
+DECK_TECHNIQUES = ("deck-overt", "deck-stealthy", "deck-paranoid")
+
 
 def technique_factory(name: str, cover: int = 8) -> TechniqueFactory:
     """Build the ``factory(env) -> technique`` for a named technique.
 
-    Shared by the CLI subcommands and the sweep runner so the two agree
-    on what each technique name means.  ``cover`` is the number of
+    The sweep worker builds every point's technique here, and the CLI
+    runs its techniques as one-point sweeps, so all agree on what each
+    technique name means.  ``cover`` is the number of
     population hosts used as spoofed cover where applicable.
     """
     from .ddos import DDoSMeasurement
@@ -222,5 +240,10 @@ def technique_factory(name: str, cover: int = 8) -> TechniqueFactory:
                 port_count=80,
             )
         return factory
+    if name in DECK_TECHNIQUES:
+        from .platform import DeckMeasurement
+
+        posture = name[len("deck-"):]
+        return lambda env: DeckMeasurement(env, posture, cover)
     raise ValueError(f"unknown technique: {name}")
 

@@ -5,9 +5,10 @@ construct raw packets (e.g., OONI, Centinel)" (§1).  This module is that
 platform: it runs a standard *deck* of tests — DNS consistency, HTTP
 reachability, mail-path reachability, TCP reachability — choosing between
 overt and stealthy implementations of each test according to a configured
-risk posture, and assesses the measurer's risk after the deck.
-``repro deck --json`` prints the deck's results as record rows (the
-sweep's one result serialisation, :func:`repro.results.rows_from_point`).
+risk posture.  A deck is one more technique: ``deck-POSTURE`` (see
+:data:`repro.core.evaluation.DECK_TECHNIQUES`) runs as one sweep point,
+whose record rows and risk columns are the deck's result.
+``repro deck --json`` prints those rows.
 
 Risk postures:
 
@@ -21,124 +22,79 @@ Risk postures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
+from ..rules.rulesets import BLOCKED_DOMAINS
 from .ddos import DDoSMeasurement
-from .evaluation import Environment
 from .measurement import MeasurementTechnique
 from .overt import OvertDNSMeasurement, OvertHTTPMeasurement
-from .results import MeasurementResult
-from .risk import RiskAssessment, assess_risk
 from .scanning import ScanMeasurement, ScanTarget
 from .spam import SpamMeasurement
 from .spoofing_stateless import SpoofedSYNReachability, StatelessSpoofedDNSMeasurement
 
-__all__ = ["DeckReport", "MeasurementPlatform", "RISK_POSTURES"]
+__all__ = ["DECK_TARGETS", "DeckMeasurement"]
 
-RISK_POSTURES = ("overt", "stealthy", "paranoid")
-
-
-@dataclass
-class DeckReport:
-    """Everything one deck run produced."""
-
-    posture: str
-    domains: List[str]
-    results_by_test: Dict[str, List[MeasurementResult]]
-    risk: Optional[RiskAssessment] = None
-
-    def blocked_domains(self) -> List[str]:
-        """Domains any test judged blocked."""
-        blocked = set()
-        for results in self.results_by_test.values():
-            for result in results:
-                if result.blocked:
-                    for domain in self.domains:
-                        if domain in result.target:
-                            blocked.add(domain)
-        return sorted(blocked)
+#: What every deck measures: five blocked names and two controls.
+DECK_TARGETS = (*BLOCKED_DOMAINS[:5], "example.org", "weather.gov")
 
 
-class MeasurementPlatform:
-    """Runs test decks from a vantage point at a chosen risk posture."""
+def _scan(env, port_count: int) -> ScanMeasurement:
+    addresses = env.ctx.expected_addresses
+    return ScanMeasurement(
+        env.ctx,
+        [ScanTarget(addresses[domain], [80], domain) for domain in DECK_TARGETS],
+        port_count=port_count,
+    )
 
-    def __init__(
-        self,
-        env: Environment,
-        posture: str = "stealthy",
-        cover_size: int = 11,
-    ) -> None:
-        if posture not in RISK_POSTURES:
-            raise ValueError(
-                f"unknown posture {posture!r}; expected one of {RISK_POSTURES}"
-            )
-        self.env = env
-        self.posture = posture
-        self.cover_size = cover_size
-        self._techniques: Dict[str, MeasurementTechnique] = {}
 
-    # -- deck construction --------------------------------------------------------
+def _overt(env, cover: int) -> List[MeasurementTechnique]:
+    return [
+        OvertDNSMeasurement(env.ctx, DECK_TARGETS),
+        OvertHTTPMeasurement(env.ctx, DECK_TARGETS),
+        _scan(env, port_count=1),
+    ]
 
-    def _dns_test(self, domains: List[str]) -> MeasurementTechnique:
-        if self.posture == "paranoid":
-            return StatelessSpoofedDNSMeasurement(
-                self.env.ctx, domains, self.env.cover_ips(self.cover_size)
-            )
-        if self.posture == "stealthy":
-            # The spam method IS the stealthy DNS test (MX + A lookups).
-            return SpamMeasurement(self.env.ctx, domains, deliver_message=True)
-        return OvertDNSMeasurement(self.env.ctx, domains)
 
-    def _http_test(self, domains: List[str]) -> MeasurementTechnique:
-        if self.posture in ("stealthy", "paranoid"):
-            return DDoSMeasurement(self.env.ctx, domains, requests_per_target=25)
-        return OvertHTTPMeasurement(self.env.ctx, domains)
+def _stealthy(env, cover: int) -> List[MeasurementTechnique]:
+    # The spam method IS the stealthy DNS test (MX + A lookups).
+    return [
+        SpamMeasurement(env.ctx, DECK_TARGETS, deliver_message=True),
+        DDoSMeasurement(env.ctx, DECK_TARGETS, requests_per_target=25),
+        _scan(env, port_count=60),
+    ]
 
-    def _tcp_test(self, domains: List[str]) -> MeasurementTechnique:
-        targets = []
-        for domain in domains:
-            address = self.env.ctx.expected_addresses.get(domain)
-            if address is not None:
-                targets.append((address, 80, domain))
-        if self.posture == "paranoid":
-            return SpoofedSYNReachability(
-                self.env.ctx,
-                [(ip, port) for ip, port, _d in targets],
-                self.env.cover_ips(self.cover_size),
-            )
-        return ScanMeasurement(
-            self.env.ctx,
-            [ScanTarget(ip, [port], label) for ip, port, label in targets],
-            port_count=60 if self.posture != "overt" else 1,
-        )
 
-    # -- execution -------------------------------------------------------------------
+def _paranoid(env, cover: int) -> List[MeasurementTechnique]:
+    return [
+        StatelessSpoofedDNSMeasurement(env.ctx, DECK_TARGETS, env.cover_ips(cover)),
+        DDoSMeasurement(env.ctx, DECK_TARGETS, requests_per_target=25),
+        SpoofedSYNReachability(
+            env.ctx,
+            [(env.ctx.expected_addresses[domain], 80) for domain in DECK_TARGETS],
+            env.cover_ips(cover),
+        ),
+    ]
 
-    def run_deck(self, domains: List[str], duration: float = 120.0) -> DeckReport:
-        """Run the full deck over ``domains`` and return the report."""
-        self._techniques = {
-            "dns_consistency": self._dns_test(domains),
-            "http_reachability": self._http_test(domains),
-            "tcp_reachability": self._tcp_test(domains),
-        }
-        for technique in self._techniques.values():
-            technique.start()
-        self.env.run(duration=duration)
 
-        risk = assess_risk(
-            self.env.surveillance,
-            technique=f"deck[{self.posture}]",
-            measurer_user=self.env.topo.measurement_client.user or "measurer",
-            measurer_ip=self.env.topo.measurement_client.ip,
-            now=self.env.sim.now,
-        )
-        return DeckReport(
-            posture=self.posture,
-            domains=list(domains),
-            results_by_test={
-                name: list(technique.results)
-                for name, technique in self._techniques.items()
-            },
-            risk=risk,
-        )
+#: Posture -> its (DNS, HTTP, TCP) tests.
+_POSTURES = {"overt": _overt, "stealthy": _stealthy, "paranoid": _paranoid}
+
+
+class DeckMeasurement(MeasurementTechnique):
+    """The three tests of one posture, run as one technique."""
+
+    def __init__(self, env, posture: str, cover: int) -> None:
+        super().__init__(env.ctx)
+        self.name = f"deck-{posture}"
+        self.stealthy = posture != "overt"
+        self.parts = _POSTURES[posture](env, cover)
+        for part in self.parts:
+            part.on_result(self.results.append)
+
+    def start(self) -> None:
+        for part in self.parts:
+            part.start()
+
+    @property
+    def done(self) -> bool:
+        return all(part.done for part in self.parts)

@@ -55,7 +55,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import run_report
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, active_or_none
 from ..obs.export import write_json
 from ..results.analyze import RecordAnalysis
 from ..results.record import summarize_rows, write_records
@@ -387,11 +387,15 @@ def analyze_spec(spec: SweepSpec) -> Dict[str, object]:
     """Run ``spec`` serially in memory, writing no file, and score its
     record rows with the :class:`RecordAnalysis` ``repro report`` uses: the
     document equals ``repro sweep`` then ``repro report --json``.  Raises
-    ``RuntimeError`` naming the failed points if any point failed."""
+    ``RuntimeError`` naming the failed points if any point failed.  An
+    installed registry (``--metrics-out``) receives the merged metrics."""
     runner = SweepRunner(spec, serial=True)
     report = runner.run()
     failed = report["summary"]["failed_points"]
     if failed:
         raise RuntimeError(f"sweep {spec.name!r}: points {failed} failed")
+    registry = active_or_none()
+    if registry is not None:
+        registry.merge(report["merged"]["metrics"])
     rows = runner._iter_record_rows(report["points"])
     return RecordAnalysis().extend(rows).as_dict()

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..censor import censor_families
-from ..core.evaluation import POPULATION_SIZE, TECHNIQUES
+from ..core.evaluation import DECK_TECHNIQUES, POPULATION_SIZE, TECHNIQUES
 from ..core.measurement import RetryPolicy
 from ..netsim.impairment import mix_seed
 
@@ -321,10 +321,10 @@ class SweepSpec:
             if not getattr(self, axis_name):
                 raise ValueError(f"sweep axis {axis_name!r} must be non-empty")
         for technique in self.techniques:
-            if technique not in TECHNIQUES:
+            if technique not in TECHNIQUES and technique not in DECK_TECHNIQUES:
                 raise ValueError(
                     f"techniques: unknown technique {technique!r} "
-                    f"(choose from {TECHNIQUES})"
+                    f"(choose from {TECHNIQUES + DECK_TECHNIQUES})"
                 )
         for topology in self.topologies:
             if topology not in TOPOLOGIES:

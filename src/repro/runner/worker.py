@@ -30,7 +30,7 @@ from ..core.results import MeasurementResult, summarize
 from ..core.risk import RiskAssessment, assess_risk
 from ..core.scanning import ScanMeasurement, ScanTarget
 from ..netsim import WebServer, build_three_node, burst_loss_profile
-from ..obs import MetricsRegistry, use_registry
+from ..obs import MetricsRegistry, active_tracer, use_registry
 from ..results.record import rows_from_point
 from .spec import SweepPoint
 
@@ -115,6 +115,9 @@ def _run_censored_as(point: SweepPoint, registry: MetricsRegistry) -> Dict[str, 
         censor=point.censor_name(),
         synthetic_users=point.population,
     )
+    tracer = active_tracer()  # set by `repro trace`, None in sweeps
+    if tracer is not None:
+        tracer.bind_clock(lambda: env.sim.now)
     if point.loss > 0.0:
         env.topo.network.impair_all_links(_impairment_profile(point))
     env.ctx.retry_policy = point.retry_policy()

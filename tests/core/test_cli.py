@@ -96,7 +96,19 @@ class TestMatrixCommand:
         assert main(["matrix", "--cover", "-3"]) == 1
         assert capsys.readouterr().err.startswith("error: cover must be >= 0")
 
-    @pytest.mark.parametrize("command", ["matrix", "risk"])
+    def test_matrix_metrics_out_counts_every_row(self, tmp_path, capsys):
+        from repro.runner import E1_PACK, SweepRunner, SweepSpec
+
+        path = tmp_path / "matrix.metrics.json"
+        assert main(["matrix", "--duration", "30", "--cover", "4",
+                     "--metrics-out", str(path)]) == 0
+        counter = json.loads(path.read_text())["instruments"]["measurement_rows_total"]
+        spec = SweepSpec.from_mapping({**E1_PACK, "duration": 30.0, "cover": 4})
+        pack_rows = SweepRunner(spec, serial=True).run()["summary"]["records"]["rows"]
+        assert pack_rows > 0
+        assert sum(value for _labels, value in counter["values"]) == pack_rows
+
+    @pytest.mark.parametrize("command", ["matrix", "risk", "deck", "trace"])
     def test_cover_beyond_the_population_is_one_error_line(self, capsys, command):
         assert main([command, "--cover", "30"]) == 1
         err = capsys.readouterr().err
@@ -106,27 +118,71 @@ class TestMatrixCommand:
 
 class TestDeckCommand:
     def test_deck_stealthy(self, capsys):
-        assert main(["deck", "--posture", "stealthy", "--duration", "60",
-                     "--domains", "twitter.com", "example.org"]) == 0
+        assert main(["deck", "--posture", "stealthy", "--duration", "60"]) == 0
         out = capsys.readouterr().out
         assert "deck results" in out
-        assert "blocked domains: twitter.com" in out
+        assert ("blocked targets: bbc.com, facebook.com, falundafa.org, "
+                "twitter.com, youtube.com") in out
         assert "evaded=True" in out
 
     def test_deck_json_output(self, capsys):
         assert main(["deck", "--posture", "stealthy", "--duration", "60",
-                     "--domains", "twitter.com", "--json"]) == 0
+                     "--json"]) == 0
         out = capsys.readouterr().out
         rows = [json.loads(line) for line in out.splitlines()
                 if line.startswith("{")]
-        assert {row["technique"] for row in rows} == {
-            "deck-stealthy/dns_consistency", "deck-stealthy/http_reachability",
-            "deck-stealthy/tcp_reachability",
-        }
+        assert rows
+        assert {row["technique"] for row in rows} == {"deck-stealthy"}
         assert all(tuple(sorted(row)) == ROW_FIELDS for row in rows)
         # the deck's risk is stamped on every row
         assert {(row["evaded"], row["attributed_alerts"]) for row in rows} \
             == {(True, 0)}
+
+    def test_deck_metrics_out_carries_the_point_metrics(self, tmp_path, capsys):
+        path = tmp_path / "deck.metrics.json"
+        assert main(["deck", "--duration", "30", "--metrics-out", str(path)]) == 0
+        instruments = json.loads(path.read_text())["instruments"]
+        assert "measurement_rows_total" in instruments
+        assert "link_bytes_carried_total" in instruments
+
+
+class TestTraceCommand:
+    def run_trace(self, tmp_path, name, *extra):
+        prefix = tmp_path / name
+        assert main(["trace", "--duration", "30", "--out", str(prefix),
+                     *extra]) == 0
+        events = [json.loads(line) for line in
+                  Path(f"{prefix}.trace.jsonl").read_text().splitlines()]
+        return prefix, events
+
+    def test_same_arguments_same_bytes(self, tmp_path, capsys):
+        first, _ = self.run_trace(tmp_path, "a")
+        second, _ = self.run_trace(tmp_path, "b")
+        for suffix in (".trace.jsonl", ".metrics.json"):
+            assert (Path(f"{first}{suffix}").read_bytes()
+                    == Path(f"{second}{suffix}").read_bytes())
+
+    def test_metrics_file_is_the_run_report(self, tmp_path, capsys):
+        prefix, _ = self.run_trace(tmp_path, "run")
+        report = json.loads(Path(f"{prefix}.metrics.json").read_text())
+        assert set(report) == {"links", "metrics", "simulator", "surveillance"}
+        assert report["simulator"]["now"] == 30.0
+
+    def test_open_runs_at_the_clean_vantage(self, tmp_path, capsys):
+        def verdicts(events):
+            return {event["args"]["target"]: event["args"]["verdict"]
+                    for event in events if event.get("cat") == "measurement"}
+
+        _, censored = self.run_trace(tmp_path, "censored")
+        _, clean = self.run_trace(tmp_path, "clean", "--open")
+        assert verdicts(censored)["blocked-service"] == "blocked_timeout"
+        assert set(verdicts(clean).values()) == {"accessible"}
+
+    def test_categories_limit_the_spans(self, tmp_path, capsys):
+        _, events = self.run_trace(tmp_path, "run", "--categories", "measurement")
+        spans = [event for event in events if event["ph"] != "M"]
+        assert spans
+        assert {event["cat"] for event in spans} == {"measurement"}
 
 
 class TestSweepArgumentValidation:

@@ -1,77 +1,127 @@
-"""Tests for the measurement platform and its risk postures."""
+"""Tests for the measurement platform's decks (the ``deck-*`` techniques).
+
+Each posture runs as one sweep point per seed and vantage, through the
+same worker as every other technique; the assertions read its record
+rows and risk columns.
+"""
 
 import json
+from functools import lru_cache
 
 import pytest
 
-from repro.core import build_environment
-from repro.core.platform import MeasurementPlatform, RISK_POSTURES
-from repro.results import rows_from_point
+from repro.core import Verdict, build_environment
+from repro.core.evaluation import DECK_TECHNIQUES, technique_factory
+from repro.core.platform import DECK_TARGETS, DeckMeasurement
+from repro.rules.rulesets import BLOCKED_DOMAINS
+from repro.runner import SweepSpec, run_point
 
-DOMAINS = ["twitter.com", "example.org"]
+POSTURES = ("overt", "stealthy", "paranoid")
+SEEDS = [0, 1, 2, 3, 4]
+BLOCKED = sorted(set(DECK_TARGETS) & set(BLOCKED_DOMAINS))
 
 
-def run_platform(posture, censored=True, seed=22):
-    env = build_environment(censored=censored, seed=seed, population_size=14)
-    platform = MeasurementPlatform(env, posture=posture)
-    report = platform.run_deck(DOMAINS, duration=120.0)
-    return env, report
+def deck_spec(posture, **overrides):
+    return SweepSpec.from_mapping({
+        "name": "deck",
+        "seeds": SEEDS,
+        "techniques": [f"deck-{posture}"],
+        "topologies": ["censored-as"],
+        "vantages": ["censored", "clean"],
+        "censors": ["gfc"],
+        "duration": 60.0,
+        "cover": 11,
+        **overrides,
+    })
+
+
+@lru_cache(maxsize=None)
+def deck_records(posture):
+    """vantage -> the posture's point records over SEEDS."""
+    by_vantage = {"censored": [], "clean": []}
+    for point in deck_spec(posture).points():
+        record = run_point(point.as_dict(), in_process=True)
+        assert record["status"] == "ok"
+        by_vantage[point.vantage].append(record)
+    return by_vantage
+
+
+def blocked_targets(record):
+    return sorted({row["target"] for row in record["records"]
+                   if Verdict(row["verdict"]).indicates_blocking})
+
+
+def risk(record):
+    row = record["records"][0]
+    return (row["attributed_alerts"], row["attribution_confidence"],
+            row["investigated"], row["evaded"])
 
 
 class TestPostures:
     def test_unknown_posture_rejected(self):
-        env = build_environment(censored=False, seed=22, population_size=4)
+        with pytest.raises(ValueError, match="^techniques"):
+            deck_spec("reckless")
         with pytest.raises(ValueError):
-            MeasurementPlatform(env, posture="reckless")
+            technique_factory("deck-reckless")
 
-    @pytest.mark.parametrize("posture", RISK_POSTURES)
+    def test_decks_are_censored_as_only(self):
+        with pytest.raises(ValueError, match="^techniques: three-node"):
+            SweepSpec.from_mapping({"techniques": ["deck-stealthy"],
+                                    "topologies": ["three-node"]})
+
+    @pytest.mark.parametrize("posture", POSTURES)
     def test_every_posture_finds_the_blocking(self, posture):
-        _env, report = run_platform(posture)
-        assert report.blocked_domains() == ["twitter.com"]
+        for record in deck_records(posture)["censored"]:
+            assert blocked_targets(record) == BLOCKED
 
-    @pytest.mark.parametrize("posture", RISK_POSTURES)
+    @pytest.mark.parametrize("posture", POSTURES)
     def test_every_posture_clean_when_open(self, posture):
-        _env, report = run_platform(posture, censored=False)
-        assert report.blocked_domains() == []
+        for record in deck_records(posture)["clean"]:
+            assert blocked_targets(record) == []
 
     def test_overt_posture_attributed(self):
-        env, report = run_platform("overt", censored=False)
-        # Open network so the HTTP content flows and the interest rule fires.
-        assert not report.risk.evaded
-        assert report.risk.investigated
+        # At the clean vantage the overt burst trips a commodity flood rule
+        # and bot suppression hides it: attribution is asserted here only.
+        for record in deck_records("overt")["censored"]:
+            assert risk(record) == (1, 1.0, True, False)
 
     def test_stealthy_posture_evades(self):
-        _env, report = run_platform("stealthy")
-        assert report.risk.evaded
-        assert not report.risk.investigated
+        for records in deck_records("stealthy").values():
+            for record in records:
+                assert risk(record) == (0, 0.0, False, True)
 
     def test_paranoid_posture_diluted(self):
-        _env, report = run_platform("paranoid")
-        assert report.risk.attribution_confidence < 0.5
+        for records in deck_records("paranoid").values():
+            for record in records:
+                attributed, confidence, investigated, evaded = risk(record)
+                assert confidence < 0.5
+                assert (attributed, investigated, evaded) == (0, False, True)
 
 
-class TestDeckReport:
+class TestDeckMeasurement:
     def test_deck_runs_all_tests(self):
-        _env, report = run_platform("stealthy")
-        assert set(report.results_by_test) == {
-            "dns_consistency", "http_reachability", "tcp_reachability",
-        }
-        assert all(results for results in report.results_by_test.values())
+        for name in DECK_TECHNIQUES:
+            env = build_environment(censored=True, seed=22)
+            deck = technique_factory(name, cover=11)(env)
+            assert isinstance(deck, DeckMeasurement)
+            assert deck.name == name
+            assert len(deck.parts) == 3
+            deck.start()
+            env.run(duration=60.0)
+            assert deck.done
+            assert all(part.results for part in deck.parts)
+            # one result list, in emission order, holding every part's results
+            assert len(deck.results) == sum(len(part.results) for part in deck.parts)
+            times = [result.time for result in deck.results]
+            assert times == sorted(times)
 
     def test_json_document(self):
-        # The deck's JSON form: one record row per result, the deck's risk
-        # stamped on each (what ``repro deck --json`` prints).
-        _env, report = run_platform("stealthy")
-        rows = []
-        for index, (test_name, results) in enumerate(report.results_by_test.items()):
-            point = {"index": index, "seed": 22, "loss": 0.0,
-                     "retry": "single-shot", "topology": "censored-as",
-                     "technique": f"deck-stealthy/{test_name}"}
-            rows += rows_from_point(point, results, vantage="censored",
-                                    censor="gfc", risk=report.risk)
+        # What ``repro deck --json`` prints: the point's record rows, the
+        # deck's risk stamped on each.
+        rows = deck_records("stealthy")["censored"][0]["records"]
         parsed = [json.loads(json.dumps(row)) for row in rows]
         assert parsed == rows
-        assert "deck-stealthy/dns_consistency" in {row["technique"] for row in parsed}
-        assert all(any(domain in row["target"] for domain in DOMAINS)
+        assert {row["technique"] for row in parsed} == {"deck-stealthy"}
+        assert all(any(domain in row["target"] for domain in DECK_TARGETS)
                    for row in parsed)
         assert all(row["evaded"] is True for row in parsed)

@@ -119,6 +119,12 @@ class TestBuildEnvironment:
         assert len(env.cover_ips(4)) == 4
         assert len(env.cover_ips()) == 10
 
+    def test_cover_ips_beyond_the_population_raises(self):
+        env = build_environment(seed=52, population_size=10)
+        assert len(env.cover_ips(10)) == 10
+        with pytest.raises(ValueError, match="cover 11 exceeds the 10 population hosts"):
+            env.cover_ips(11)
+
     def test_expected_addresses_populated(self):
         env = build_environment(seed=52, population_size=3)
         assert env.ctx.expected_addresses["twitter.com"] == env.topo.blocked_web.ip
