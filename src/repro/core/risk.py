@@ -66,19 +66,24 @@ def assess_risk(
 
     With ``now`` given, the analyst triages the alerts first, so
     ``investigated`` reflects this campaign; without it, ``investigated``
-    reports only cases opened earlier.
+    reports only cases opened earlier.  Bot suppression scans every
+    stored alert, so the effective alerts are built once and every
+    number below is derived from that one list.
     """
-    attributed = surveillance.attributed_alerts_for_user(measurer_user)
-    true_origin = surveillance.alerts_from_origin(measurer_ip)
-    report = surveillance.suspect_report()
+    alerts = surveillance.effective_alerts()
+    attributed = sum(1 for stored in alerts if stored.user == measurer_user)
+    true_origin = sum(1 for stored in alerts if stored.origin_ip == measurer_ip)
+    if surveillance.attribution is None:
+        raise RuntimeError("no attribution engine configured")
+    report = surveillance.attribution.report(alerts)
     suspects = report.suspects
     rank = suspects.index(measurer_user) + 1 if measurer_user in suspects else None
     if now is not None:
-        surveillance.run_analyst(now)
+        surveillance.analyst.triage(alerts, now)
     return RiskAssessment(
         technique=technique,
-        attributed_alerts=len(attributed),
-        true_origin_alerts=len(true_origin),
+        attributed_alerts=attributed,
+        true_origin_alerts=true_origin,
         suspect_rank=rank,
         attribution_confidence=report.confidence(measurer_user),
         suspect_entropy=report.entropy(),

@@ -15,10 +15,15 @@ from typing import Iterable
 
 __all__ = ["canonical_json", "write_json", "write_jsonl"]
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` builds this
+#: same encoder on every call; building it once gives the same bytes.
+#: ``encode`` keeps no state between calls, so one instance serves all.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(obj) -> str:
     """One canonical line of JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def _ensure_parent(path: str) -> None:

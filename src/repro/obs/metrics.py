@@ -187,12 +187,23 @@ class Histogram(_Instrument):
             bounds = bounds + (float("inf"),)
         self.buckets = bounds
 
-    def observe(self, labels: LabelTuple = (), value: float = 0) -> None:
+    def series(self, labels: LabelTuple = ()) -> Dict[str, object]:
+        """One label row's mutable state, created empty on first use:
+        ``{"counts": [per-bucket counts], "sum": float, "count": int}``.
+
+        For a caller that folds a stream of observations into the same
+        row and keeps a reference instead of a lookup per observation;
+        it must update the row exactly as :meth:`observe` does.
+        """
         self._check(labels)
         state = self._values.get(labels)
         if state is None:
             state = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
             self._values[labels] = state
+        return state
+
+    def observe(self, labels: LabelTuple = (), value: float = 0) -> None:
+        state = self.series(labels)
         for index, bound in enumerate(self.buckets):
             if value <= bound:
                 state["counts"][index] += 1

@@ -42,6 +42,7 @@ the row measured from the censored vantage.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ConfusionCounts
@@ -59,6 +60,9 @@ BLOCKING_VERDICTS = frozenset(
 )
 
 _INCONCLUSIVE = Verdict.INCONCLUSIVE.value
+
+#: A slot's ground truth before its first scored row asks for it.
+_UNRESOLVED = object()
 
 #: Sim-time-to-verdict buckets: probe RTTs are milliseconds, retry
 #: schedules stretch to tens of simulated seconds, campaign durations to
@@ -92,9 +96,10 @@ class RecordAnalysis:
     """Online aggregator over record rows; bounded-memory by design.
 
     Every piece of state is keyed by vocabulary — (technique, target)
-    pairs, (technique, retry, loss) grid cells, technique names — so
-    memory is O(distinct keys), independent of how many rows stream
-    through :meth:`add`.  Nothing here ever holds a row list.
+    pairs, (technique, target, vantage) slots, (technique, retry, loss)
+    grid cells, technique names — so memory is O(distinct keys),
+    independent of how many rows stream through :meth:`add`.  Nothing
+    here ever holds a row list.
     """
 
     def __init__(
@@ -136,6 +141,12 @@ class RecordAnalysis:
             "max_population": 0,
             "background_bytes_total": 0,
         }
+        #: (technique, target, vantage) -> [vantage stats, technique
+        #: aggregates, latency series, ground truth, technique confusion]:
+        #: the per-row dictionary walk, resolved once per slot
+        self._slots: Dict[Tuple[str, str, str], list] = {}
+        #: (censor family, technique) -> (its aggregates, its confusion)
+        self._censor_slots: Dict[Tuple[str, str], Tuple[Dict[str, float], ConfusionCounts]] = {}
         #: one shared histogram, labeled by technique
         self._latency = Histogram(
             "verdict_latency", "sim-time to verdict", ("technique",),
@@ -157,7 +168,15 @@ class RecordAnalysis:
     # -- streaming ingest -----------------------------------------------------
 
     def add(self, row: Mapping[str, object]) -> None:
-        """Fold one record row into the aggregates."""
+        """Fold one record row into the aggregates.
+
+        The dictionary walk to a row's aggregates depends only on its
+        (technique, target, vantage) slot, so it is resolved once per
+        slot; each row then updates the cached references.  Every step
+        that can fail on a bad row (a missing column, a value of the
+        wrong type) runs in the same order as a walk per row would, and
+        every float accumulator adds in row order.
+        """
         technique = row["technique"]
         vantage = row["vantage"]
         target = row["target"]
@@ -166,7 +185,8 @@ class RecordAnalysis:
         inconclusive = verdict == _INCONCLUSIVE
 
         self.rows += 1
-        if row["seq"] == 0:
+        first = row["seq"] == 0
+        if first:
             self.points += 1
             population = int(row.get("population", 0) or 0)
             if population:
@@ -176,32 +196,25 @@ class RecordAnalysis:
                 self._background["background_bytes_total"] += int(
                     row.get("background_bytes", 0) or 0
                 )
-        self.by_verdict[verdict] = self.by_verdict.get(verdict, 0) + 1
+        by_verdict = self.by_verdict
+        by_verdict[verdict] = by_verdict.get(verdict, 0) + 1
 
-        stats = (
-            self._targets.setdefault((technique, target), {})
-            .setdefault(vantage, _new_vantage_stats())
-        )
+        slot = self._slots.get((technique, target, vantage))
+        if slot is None:
+            slot = self._new_slot(technique, target, vantage)
+        stats, tech, latency = slot[0], slot[1], slot[2]
+        side = "inconclusive" if inconclusive else "blocked" if blocked else "accessible"
         stats["rows"] += 1
-        stats["confidence_sum"] += row["confidence"]
-        stats["attempts_sum"] += row["attempts"]
-        if inconclusive:
-            stats["inconclusive"] += 1
-        elif blocked:
-            stats["blocked"] += 1
-        else:
-            stats["accessible"] += 1
+        confidence = row["confidence"]
+        stats["confidence_sum"] += confidence
+        attempts = row["attempts"]
+        stats["attempts_sum"] += attempts
+        stats[side] += 1
 
-        tech = self._tech.setdefault(technique, {
-            "rows": 0, "points": 0, "confidence_sum": 0.0, "attempts_sum": 0,
-            "evaded_points": 0, "evasion_points": 0,
-            "risk_points": 0, "attributed_sum": 0, "attribution_sum": 0.0,
-            "investigated_points": 0,
-        })
         tech["rows"] += 1
-        tech["confidence_sum"] += row["confidence"]
-        tech["attempts_sum"] += row["attempts"]
-        if row["seq"] == 0:
+        tech["confidence_sum"] += confidence
+        tech["attempts_sum"] += attempts
+        if first:
             tech["points"] += 1
             if row.get("evaded") is not None:
                 tech["evasion_points"] += 1
@@ -214,44 +227,78 @@ class RecordAnalysis:
                 tech["investigated_points"] += int(bool(row["investigated"]))
 
         censor = row.get("censor", "none")
+        censor_counts = None
         if censor and censor != "none":
-            ct = self._censor_tech.setdefault((censor, technique), {
-                "rows": 0, "points": 0,
-                "evaded_points": 0, "evasion_points": 0,
-            })
+            key = (censor, technique)
+            pair = self._censor_slots.get(key)
+            if pair is None:
+                pair = self._censor_slots[key] = (
+                    self._censor_tech.setdefault(key, {
+                        "rows": 0, "points": 0,
+                        "evaded_points": 0, "evasion_points": 0,
+                    }),
+                    self._censor_confusion.setdefault(key, ConfusionCounts()),
+                )
+            ct, censor_counts = pair
             ct["rows"] += 1
-            if row["seq"] == 0:
+            if first:
                 ct["points"] += 1
                 if row.get("evaded") is not None:
                     ct["evasion_points"] += 1
                     ct["evaded_points"] += int(bool(row["evaded"]))
 
-        self._latency.observe((technique,), row["latency"])
+        value = row["latency"]
+        kind = type(value)
+        if kind is float or kind is int:
+            # Histogram.observe's result without its bucket scan: NaN
+            # lands in no bucket but still counts towards sum and count.
+            # Any other type goes through observe, to count or fail as
+            # it does.
+            if value == value:
+                latency["counts"][bisect_left(self._latency.buckets, value)] += 1
+            latency["sum"] += value
+            latency["count"] += 1
+        else:
+            self._latency.observe((technique,), value)
 
-        truth = self.truly_blocked(target, vantage)
-        if truth is not None:
-            cell = self._cells.setdefault(
-                (technique, row["retry"], row["loss"]), ConfusionCounts()
-            )
-            overall = self._tech_confusion.setdefault(technique, ConfusionCounts())
-            counts_list = [cell, overall]
-            if censor and censor != "none":
-                counts_list.append(
-                    self._censor_confusion.setdefault(
-                        (censor, technique), ConfusionCounts()
-                    )
-                )
-            for counts in counts_list:
-                if inconclusive:
-                    counts.inconclusive += 1
-                elif truth and blocked:
-                    counts.true_positive += 1
-                elif truth and not blocked:
-                    counts.false_negative += 1
-                elif not truth and blocked:
-                    counts.false_positive += 1
-                else:
-                    counts.true_negative += 1
+        truth = slot[3]
+        if truth is _UNRESOLVED:
+            truth = slot[3] = self.truly_blocked(target, vantage)
+        if truth is None:
+            return
+        key = (technique, row["retry"], row["loss"])
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = ConfusionCounts()
+        if inconclusive:
+            outcome = "inconclusive"
+        elif blocked:
+            outcome = "true_positive" if truth else "false_positive"
+        else:
+            outcome = "false_negative" if truth else "true_negative"
+        for counts in (cell, slot[4], censor_counts):
+            if counts is not None:
+                setattr(counts, outcome, getattr(counts, outcome) + 1)
+
+    def _new_slot(self, technique, target, vantage) -> list:
+        """Resolve and cache one (technique, target, vantage) slot:
+        ``[vantage stats, technique aggregates, latency series, ground
+        truth (resolved on first use), technique confusion]``."""
+        stats = (
+            self._targets.setdefault((technique, target), {})
+            .setdefault(vantage, _new_vantage_stats())
+        )
+        tech = self._tech.setdefault(technique, {
+            "rows": 0, "points": 0, "confidence_sum": 0.0, "attempts_sum": 0,
+            "evaded_points": 0, "evasion_points": 0,
+            "risk_points": 0, "attributed_sum": 0, "attribution_sum": 0.0,
+            "investigated_points": 0,
+        })
+        latency = self._latency.series((technique,))
+        overall = self._tech_confusion.setdefault(technique, ConfusionCounts())
+        slot = [stats, tech, latency, _UNRESOLVED, overall]
+        self._slots[(technique, target, vantage)] = slot
+        return slot
 
     def extend(self, rows: Iterable[Mapping[str, object]]) -> "RecordAnalysis":
         """Fold every row; a row missing a column, or holding a value of

@@ -14,9 +14,11 @@ and the CI smoke job enforce exactly that.
 
 The file layout mirrors the campaign journal: line 1 is a header
 pinning the record schema and the spec's content hash, every later line
-is one bare row object.  :func:`iter_rows` is a generator over that
-file — it holds one line at a time, which is the memory contract the
-streaming analysis layer (and its memory-bounded test) is built on.
+is one bare row object.  :func:`write_records` renders rows a few
+hundred lines per ``write``; :func:`iter_rows` is a generator over the
+file that holds one bounded block of lines (about 64 KiB) at a time,
+which is the memory contract the streaming analysis layer (and its
+memory-bounded test) is built on.
 """
 
 from __future__ import annotations
@@ -138,6 +140,14 @@ def rows_from_point(
     return rows
 
 
+#: Rows per ``write`` call of the sink: one call per few hundred lines
+#: instead of two per row, holding only that many lines at a time.
+_WRITE_BLOCK_ROWS = 256
+
+#: ``readlines`` size hint of the reader: about 150 rows per block.
+_READ_BLOCK_BYTES = 1 << 16
+
+
 def write_records(
     path: str,
     spec_hash: str,
@@ -158,6 +168,7 @@ def write_records(
     temp = f"{path}.tmp"
     total = 0
     by_verdict: Dict[str, int] = {}
+    block: List[str] = []
     with open(temp, "w", encoding="utf-8") as fh:
         fh.write(canonical_json({
             "kind": "header",
@@ -167,13 +178,22 @@ def write_records(
         }))
         fh.write("\n")
         for row in rows:
-            fh.write(canonical_json(row))
-            fh.write("\n")
+            block.append(canonical_json(row))
             total += 1
             verdict = row["verdict"]
             by_verdict[verdict] = by_verdict.get(verdict, 0) + 1
+            if len(block) == _WRITE_BLOCK_ROWS:
+                _write_lines(fh, block)
+        _write_lines(fh, block)
     os.replace(temp, path)
     return {"rows": total, "by_verdict": dict(sorted(by_verdict.items()))}
+
+
+def _write_lines(fh, block: List[str]) -> None:
+    """Write ``block`` as newline-terminated lines in one call; empty it."""
+    if block:
+        fh.write("\n".join(block) + "\n")
+        block.clear()
 
 
 def summarize_rows(rows: Iterable[Mapping[str, object]]) -> Dict[str, object]:
@@ -218,8 +238,10 @@ def iter_rows(path: str) -> Iterator[Dict[str, object]]:
     """Stream the record file's rows, one dict at a time.
 
     A generator over the open file: the header line is validated, then
-    each later line is parsed and yielded individually — memory use is
-    one line, independent of file size, which is what lets the analysis
+    the rest is read one bounded block of lines (about 64 KiB:
+    ``readlines`` stops at the first line that reaches the hint) at a
+    time and its rows are yielded in file order — memory use is one
+    block, independent of file size, which is what lets the analysis
     layer chew through millions of rows.  Blank trailing lines are
     tolerated; a line that is not a JSON object raises ``ValueError``
     naming the file and line (record files are rendered atomically, so
@@ -227,13 +249,70 @@ def iter_rows(path: str) -> Iterator[Dict[str, object]]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         _parse_header(path, fh.readline())
-        for number, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                row = loads(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{number}: not a JSON row: {exc}") from exc
-            if type(row) is not dict:
-                raise ValueError(f"{path}:{number}: record row is not a JSON object")
-            yield row
+        number = 2
+        while True:
+            lines = fh.readlines(_READ_BLOCK_BYTES)
+            if not lines:
+                return
+            rows = _parse_block(lines)
+            if rows is None:
+                rows = _parse_lines(path, lines, number)
+            number += len(lines)
+            # Hold one block at a time: drop it before reading the next.
+            del lines
+            yield from rows
+            del rows
+
+
+def _parse_lines(path: str, lines: List[str], number: int) -> Iterator[Dict[str, object]]:
+    """Parse ``lines`` one at a time; ``number`` is the first's line number."""
+    for number, line in enumerate(lines, start=number):
+        if not line.strip():
+            continue
+        try:
+            row = loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: not a JSON row: {exc}") from exc
+        if type(row) is not dict:
+            raise ValueError(f"{path}:{number}: record row is not a JSON object")
+        yield row
+
+
+def _parse_block(lines: List[str]) -> Optional[List[Dict[str, object]]]:
+    r"""Parse a block of lines with one ``loads``, or return ``None``.
+
+    The one-call parse of ``"[" + ",".join(lines) + "]"`` is taken only
+    when it must equal ``loads`` of each line: every line starts with
+    ``{`` and ends with ``}\n``, the text holds exactly one ``}`` per
+    line, and the parse succeeds.  Why that is exact:
+
+    - A JSON string cannot hold a raw newline.  Each line's ``}`` comes
+      right before its newline, and each line's ``{`` right after the
+      opening ``[`` or the previous line's newline and a comma, so none
+      of them is inside a string.
+    - A successful parse closes every object it opens, so it has as many
+      structural ``{`` as ``}``.  There are only ``n`` ``}``, so the
+      ``n`` line-opening ``{`` are the only structural ``{``.
+    - So no object opens inside a line, and each line's ``}`` closes the
+      object its ``{`` opened.  Top-level elements therefore begin only
+      at line starts, there are ``n`` of them, and each equals
+      ``loads(line)``.
+
+    Joining lines without this check is wrong: ``{"a":[{"b":1}`` and
+    ``{"c":2}]}`` merge into one object and ``{"d":1},{"e":2}`` splits
+    into two, so three lines that each fail alone parse to three dicts.
+    Anything else (blank lines, a missing final newline, a bad or too
+    deeply nested line) returns ``None``, and the caller parses and
+    reports line by line.
+    """
+    for line in lines:
+        if line[0] != "{" or line[-2:] != "}\n":
+            return None
+    text = "[" + ",".join(lines) + "]"
+    if text.count("}") != len(lines):
+        return None
+    try:
+        rows = loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return rows if len(rows) == len(lines) else None

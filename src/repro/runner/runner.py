@@ -50,8 +50,6 @@ from __future__ import annotations
 
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterator, List, Optional
 
 from ..analysis.metrics import run_report
@@ -135,6 +133,11 @@ class SweepRunner:
         the grid.  The queue is seeded most-expensive-first
         (:class:`QueuePlanner`) to keep the tail short.
         """
+        # The pool is imported here, not at module level: serial
+        # campaigns never load concurrent.futures or multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         order = QueuePlanner().order(pending)
         quarantined: List[SweepPoint] = []
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
@@ -175,6 +178,9 @@ class SweepRunner:
         its actual traceback recorded against its index — a process
         death and a reproducible error must not be conflated.
         """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         attempts_allowed = 1 + self.max_point_retries
         for attempt in range(1, attempts_allowed + 1):
             try:

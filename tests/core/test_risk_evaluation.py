@@ -15,6 +15,7 @@ from repro.core.evaluation import (
     build_environment,
 )
 from repro.runner import E1_PACK, SweepSpec, analyze_spec, run_point
+from repro.surveillance.system import SurveillanceSystem
 
 
 class TestRiskAssessment:
@@ -60,6 +61,23 @@ class TestAssessRisk:
                            env.topo.measurement_client.ip, now=env.sim.now)
         assert risk.evaded
         assert not risk.investigated
+
+    def test_effective_alerts_built_once_per_point(self, monkeypatch):
+        # Bot suppression scans every stored alert: a censored-as point's
+        # risk assessment must build the effective alerts exactly once.
+        calls = []
+        original = SurveillanceSystem.effective_alerts
+
+        def spy(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SurveillanceSystem, "effective_alerts", spy)
+        for point in _pack("overt-http").points():
+            calls.clear()
+            record = run_point(point.as_dict())
+            assert record["status"] == "ok"
+            assert len(calls) == 1, point.as_dict()["vantage"]
 
 
 def _pack(technique):

@@ -7,6 +7,9 @@ points while the sweep completes.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,6 +92,24 @@ class TestRunShard:
         points = [p.as_dict() for p in small_spec(seeds=(0,)).points()]
         with pytest.raises(ValueError, match="max_point_retries"):
             run_shard(points, max_point_retries=-1, in_process=True)
+
+
+class TestLazyPoolImport:
+    def test_importing_the_runner_loads_no_process_pool(self):
+        # Only --workers and quarantine use the pool; serial campaigns
+        # (and the benchmark) must not pay for importing it.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = (
+            "import sys, repro.runner, repro.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True, timeout=60,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestArgumentValidation:
