@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from ..obs.metrics import active_or_none
+from ..obs.metrics import TallyFold, active_or_none
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .link import Link
@@ -132,30 +132,32 @@ class FlowFidelityEngine:
         self.network = network
         self.sim = network.sim
         self.mode = mode
-        self.flows_aggregate = 0
-        self.flows_expanded = 0
-        self.bytes_aggregate = 0
-        self.bytes_materialized = 0
-        self.packets_materialized = 0
+        #: the ledger: (tier, kind) -> flows advanced
+        self.flows: Dict[Tuple[str, str], int] = {}
+        #: (tier, kind) -> wire bytes accounted
+        self.bytes: Dict[Tuple[str, str], int] = {}
+        #: (kind,) -> packets materialized
+        self.packets: Dict[Tuple[str], int] = {}
         self._path_links: Dict[Tuple[str, str], List[Tuple["Link", str]]] = {}
         obs = active_or_none()
-        self._obs = obs
         if obs is not None:
-            self._m_flows = obs.counter(
-                "population_flows_total",
-                "Background flows advanced, by fidelity tier and workload kind",
-                ("tier", "kind"),
-            )
-            self._m_bytes = obs.counter(
-                "population_bytes_total",
-                "Background wire bytes accounted, by fidelity tier and kind",
-                ("tier", "kind"),
-            )
-            self._m_pkts = obs.counter(
-                "population_packets_materialized_total",
-                "Byte-accurate packets materialized for tap-crossing flows",
-                ("kind",),
-            )
+            TallyFold(obs, (
+                (obs.counter(
+                    "population_flows_total",
+                    "Background flows advanced, by fidelity tier and workload kind",
+                    ("tier", "kind"),
+                ), self.flows),
+                (obs.counter(
+                    "population_bytes_total",
+                    "Background wire bytes accounted, by fidelity tier and kind",
+                    ("tier", "kind"),
+                ), self.bytes),
+                (obs.counter(
+                    "population_packets_materialized_total",
+                    "Byte-accurate packets materialized for tap-crossing flows",
+                    ("kind",),
+                ), self.packets),
+            ))
 
     # -- tier decision -------------------------------------------------------
 
@@ -193,11 +195,9 @@ class FlowFidelityEngine:
         return links
 
     def _advance_aggregate(self, flow: AggregateFlow) -> None:
-        self.flows_aggregate += 1
-        self.bytes_aggregate += flow.bytes_total
-        if self._obs is not None:
-            self._m_flows.inc(("aggregate", flow.kind))
-            self._m_bytes.inc(("aggregate", flow.kind), flow.bytes_total)
+        key = ("aggregate", flow.kind)
+        self.flows[key] = self.flows.get(key, 0) + 1
+        self.bytes[key] = self.bytes.get(key, 0) + flow.bytes_total
         links = self._links_between(flow.src_gateway, flow.dst_gateway)
         packets_up, bytes_up = flow.packets_up, flow.bytes_up
         packets_down, bytes_down = flow.packets_down, flow.bytes_down
@@ -216,9 +216,6 @@ class FlowFidelityEngine:
     # -- packet tier ---------------------------------------------------------
 
     def _expand(self, flow: AggregateFlow) -> None:
-        self.flows_expanded += 1
-        if self._obs is not None:
-            self._m_flows.inc(("expanded", flow.kind))
         network = self.network
         nodes = network.nodes
         emitted_bytes = 0
@@ -233,24 +230,27 @@ class FlowFidelityEngine:
                 f"{flow.packets_total}p/{flow.bytes_total}B, materialized "
                 f"{emitted_packets}p/{emitted_bytes}B"
             )
-        self.bytes_materialized += emitted_bytes
-        self.packets_materialized += emitted_packets
-        if self._obs is not None:
-            self._m_bytes.inc(("expanded", flow.kind), emitted_bytes)
-            self._m_pkts.inc((flow.kind,), emitted_packets)
+        key = ("expanded", flow.kind)
+        self.flows[key] = self.flows.get(key, 0) + 1
+        self.bytes[key] = self.bytes.get(key, 0) + emitted_bytes
+        kind = (flow.kind,)
+        self.packets[kind] = self.packets.get(kind, 0) + emitted_packets
 
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
+        def tier_total(tally: Dict[Tuple[str, str], int], tier: str) -> int:
+            return sum(value for (of, _), value in tally.items() if of == tier)
+
         return {
-            "flows_aggregate": self.flows_aggregate,
-            "flows_expanded": self.flows_expanded,
-            "bytes_aggregate": self.bytes_aggregate,
-            "bytes_materialized": self.bytes_materialized,
-            "packets_materialized": self.packets_materialized,
+            "flows_aggregate": tier_total(self.flows, "aggregate"),
+            "flows_expanded": tier_total(self.flows, "expanded"),
+            "bytes_aggregate": tier_total(self.bytes, "aggregate"),
+            "bytes_materialized": tier_total(self.bytes, "expanded"),
+            "packets_materialized": sum(self.packets.values()),
         }
 
     @property
     def bytes_total(self) -> int:
         """All background wire bytes accounted across both tiers."""
-        return self.bytes_aggregate + self.bytes_materialized
+        return sum(self.bytes.values())

@@ -12,8 +12,9 @@ Design constraints, in order:
    recorder once via :func:`active_or_none`; when no registry is
    installed they store ``None`` and every hot path pays exactly one
    ``if self._obs is not None`` check; components that already keep a
-   ledger (links) pay nothing even when on, because a flush hook folds
-   the ledger into the registry at read time.  :class:`NullRecorder`
+   ledger (links, the surveillance tap, the flow tier) pay nothing even
+   when on, because a flush hook (:class:`TallyFold` for plain tallies)
+   folds the ledger into the registry at read time.  :class:`NullRecorder`
    exists for call sites that want unconditional instrument handles —
    all of its instruments are shared no-op singletons, and the recorder
    itself is falsy.
@@ -40,6 +41,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRecorder",
     "NULL",
+    "TallyFold",
     "DEFAULT_LATENCY_BUCKETS",
     "active_or_none",
     "current_registry",
@@ -561,6 +563,38 @@ class MetricsRegistry:
                 else:
                     lines.append(f"{full}{label_text} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+class TallyFold:
+    """Folds plain running tallies into counters whenever the registry is
+    read.
+
+    A producer on a hot path keeps ``{labels: running total}`` dicts as
+    its ledger instead of calling :meth:`Counter.inc`; this flush hook
+    adds to each counter what each total gained since the last fold, so
+    repeated reads never double-count, and a total that never moved
+    creates no label row.  A key that is not a tuple is the value of a
+    single label.  The registry holds the fold strongly: it owns only the
+    tallies, so they are still reported after their producer has been
+    collected, and it keeps no producer alive.
+    """
+
+    __slots__ = ("_folds",)
+
+    def __init__(
+        self, registry: "MetricsRegistry", pairs: Sequence[Tuple[Counter, dict]]
+    ) -> None:
+        #: (counter, tally, the tally as last folded)
+        self._folds = tuple((counter, tally, {}) for counter, tally in pairs)
+        registry.on_flush(self, weak=False)
+
+    def __call__(self) -> None:
+        for counter, tally, folded in self._folds:
+            for key, value in tally.items():
+                delta = value - folded.get(key, 0)
+                if delta:
+                    counter.inc(key if type(key) is tuple else (key,), delta)
+                    folded[key] = value
 
 
 class _NullInstrument:

@@ -64,6 +64,11 @@ _INCONCLUSIVE = Verdict.INCONCLUSIVE.value
 #: A slot's ground truth before its first scored row asks for it.
 _UNRESOLVED = object()
 
+#: The one NaN a cell key holds.  Every ``float("nan")`` is a distinct
+#: object and unequal to itself, so NaN key parts from separate rows would
+#: each open a cell of their own.
+_NAN = float("nan")
+
 #: Sim-time-to-verdict buckets: probe RTTs are milliseconds, retry
 #: schedules stretch to tens of simulated seconds, campaign durations to
 #: minutes.
@@ -269,7 +274,10 @@ class RecordAnalysis:
         key = (technique, row["retry"], row["loss"])
         cell = self._cells.get(key)
         if cell is None:
-            cell = self._cells[key] = ConfusionCounts()
+            key = tuple(_NAN if part != part else part for part in key)
+            cell = self._cells.get(key)
+            if cell is None:
+                cell = self._cells[key] = ConfusionCounts()
         if inconclusive:
             outcome = "inconclusive"
         elif blocked:

@@ -78,10 +78,11 @@ def compiled_ruleset(
     compiled once per process and shared by every engine built from it.
 
     Sharing is sound because nothing writes to a parsed :class:`Rule`
-    except the ``_mp_required``/``_mp_anchor`` caches, which derive from
-    process-wide literal ids and so agree in every engine, and because
-    no engine writes to the index: ``add_rules`` replaces it.  Text that fails to parse raises :class:`RuleParseError` and
-    is not cached.
+    except the ``_mp_required``/``_mp_anchor``/``_mp_gates`` caches,
+    which derive from process-wide literal ids and so agree in every
+    engine, and because no engine writes to the index: ``add_rules``
+    replaces it.  Text that fails to parse raises
+    :class:`RuleParseError` and is not cached.
     """
     key = (text, tuple(sorted(variables.items())))
     entry = _RULESET_CACHE.get(key)
@@ -428,6 +429,7 @@ class RuleEngine:
                 state, present = self._stream_present(update)
             else:
                 present = _EMPTY_IDS
+            ctx.present = present
             bucket = self._index.lookup(packet.protocol, ctx.dport, ctx.sport)
             entries = bucket.always
             if present:
@@ -726,9 +728,20 @@ class RuleEngine:
             hay = ctx.lower_haystack if content.nocase else haystack
             if not content.search_in(hay):
                 return False
-        for pcre in rule.pcres:
-            if not pcre.matches(haystack):
-                return False
+        pcres = rule.pcres
+        if pcres:
+            # A gated pcre (a pure literal alternation) can only match
+            # where one of its literals occurs; the indexed engine knows
+            # the present ids, the reference engine runs every regex.
+            present = ctx.present
+            gates = rule._mp_gates if present is not None else None
+            for index, pcre in enumerate(pcres):
+                if gates is not None:
+                    gate = gates[index]
+                    if gate is not None and present.isdisjoint(gate):
+                        return False
+                if not pcre.matches(haystack):
+                    return False
         return True
 
     def _flow_matches(

@@ -7,7 +7,8 @@ that layer for the reproduction's engine:
 
 - :class:`MatchContext` computes the per-packet facts every candidate rule
   needs — transport object, ports, payload, stream haystack, lowercased
-  haystack, integer addresses — exactly once, instead of once per rule.
+  haystack, integer addresses, the literal ids present — exactly once,
+  instead of once per rule.
   A stream haystack is the flow's reassembled buffer itself, read in
   place: no byte is copied to match on it.
 - :class:`RuleDispatchIndex` buckets rules at engine construction so
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..packets import PROTO_ICMP, PROTO_TCP, PROTO_UDP, ip_to_int_cached
 from .language import Rule
-from .multipattern import anchor_literal_id, required_literal_ids
+from .multipattern import anchor_literal_id, pcre_gate_ids, required_literal_ids
 from .reassembly import StreamUpdate
 
 __all__ = [
@@ -55,6 +56,7 @@ class MatchContext:
         "sport",
         "dport",
         "payload",
+        "present",
         "_src_int",
         "_dst_int",
         "_haystack",
@@ -88,6 +90,9 @@ class MatchContext:
                 self.payload = payload if type(payload) is bytes else bytes(payload)
             else:
                 self.payload = b""
+        #: the literal ids present in the haystack, set by the indexed
+        #: engine; None (the reference engine) runs every pcre
+        self.present = None
         self._src_int = None
         self._dst_int = None
         self._haystack = None
@@ -155,6 +160,7 @@ class CompiledBucket:
         for order, rule in ordered:
             anchor = anchor_literal_id(rule)
             required_literal_ids(rule)  # warm the subset-check cache
+            pcre_gate_ids(rule)  # and the payload check's pcre gates
             if anchor is None:
                 self.always.append((order, rule))
             else:

@@ -216,12 +216,43 @@ class ContentOption:
         return found != self.negated
 
 
+#: bytes that make a pcre body more than a literal alternation
+_PCRE_META = frozenset(b"\\.^$*+?{}[]()")
+#: modifiers a literal alternation may carry: ``s`` and ``m`` change
+#: nothing without ``.``/``^``/``$``, and R/U/P are ignored anyway
+_GATE_MODIFIERS = frozenset("ismRUP")
+
+
+def literal_alternation(body: bytes, modifiers: str) -> Optional[Tuple[bytes, ...]]:
+    """The alternatives of ``/body/modifiers`` if it is a pure literal
+    alternation, else None.
+
+    Pure means: split on ``|``, every alternative is non-empty and holds
+    no regex metacharacter, and every modifier is one of ``ismRUP``.
+    Such a regex matches a haystack iff one alternative occurs in it,
+    ASCII case-folded under ``i``: bytes ``re.IGNORECASE`` and
+    ``bytes.lower()`` both fold ASCII only, so the two tests agree.
+    """
+    if not set(modifiers) <= _GATE_MODIFIERS:
+        return None
+    alternatives = tuple(body.split(b"|"))
+    for alternative in alternatives:
+        if not alternative or not _PCRE_META.isdisjoint(alternative):
+            return None
+    return alternatives
+
+
 @dataclass
 class PcreOption:
     """Snort ``pcre:"/regex/flags"`` matched with Python ``re``."""
 
     regex: "re.Pattern"
     negated: bool = False
+    #: ``(needle, nocase)`` per alternative when the regex is a pure
+    #: literal alternation (see :func:`literal_alternation`) and not
+    #: negated: it can match only where one of these literals occurs, so
+    #: the indexed engine skips it when none was seen.  None otherwise.
+    gate: Optional[Tuple[Tuple[bytes, bool], ...]] = None
 
     @classmethod
     def parse(cls, text: str) -> "PcreOption":
@@ -243,7 +274,16 @@ class PcreOption:
             elif modifier == "m":
                 flags |= re.MULTILINE
             # Snort's R/U/P HTTP modifiers are accepted but ignored.
-        return cls(regex=re.compile(body.encode("latin-1"), flags), negated=negated)
+        pattern = body.encode("latin-1")
+        alternatives = None if negated else literal_alternation(pattern, modifiers)
+        gate = None
+        if alternatives is not None:
+            nocase = bool(flags & re.IGNORECASE)
+            gate = tuple(
+                (alternative.lower() if nocase else alternative, nocase)
+                for alternative in alternatives
+            )
+        return cls(regex=re.compile(pattern, flags), negated=negated, gate=gate)
 
     def matches(self, data: bytes) -> bool:
         return (self.regex.search(data) is not None) != self.negated

@@ -36,6 +36,13 @@ Design:
   whenever the DFA is in state 0, so bytes that cannot start a literal
   cost C-speed work (``translate`` + ``find``) instead of a bytecode loop.
 
+- **Byte classes.**  A DFA row has one entry per *byte class*, not per
+  byte: every byte that occurs in some folded pattern is its own class
+  and all other bytes share class 0 (from any state they lead back to
+  the root).  A scan first maps its bytes to classes with one C-speed
+  ``translate``.  Rulesets use a few dozen distinct bytes, so a row is a
+  fraction of a 256-entry one and each literal added costs little memory.
+
 - **Adaptive one-shot scans.**  For datagram payloads the DFA walk is a
   per-byte Python loop; above ``ONE_SHOT_DFA_LIMIT`` bytes it is cheaper
   to run one C-speed ``in`` scan per *unique folded pattern* (the deduped
@@ -48,6 +55,15 @@ narrow the window), so a rule whose required ids are not all present can
 be skipped without evaluating headers or options.  Rules with no
 non-negated content (header-only, pcre-only, negated-only) have no
 required ids and are never filtered.
+
+A ``pcre`` that is a pure literal alternation (``/a|b|c/i``, see
+:func:`~repro.rules.matcher.literal_alternation`) is *gated*: its
+alternatives are interned like content literals (:func:`pcre_gate_ids`)
+and added to the automaton, and the engine skips the regex when none of
+them is present.  The gate sits in payload evaluation, not in candidate
+selection, so candidate counts do not depend on it.  Gate ids are part of
+the automaton's literal set and so of its cache key: an automaton built
+without them would report them absent and skip regexes that match.
 """
 
 from __future__ import annotations
@@ -62,6 +78,7 @@ __all__ = [
     "literal_table_size",
     "required_literal_ids",
     "anchor_literal_id",
+    "pcre_gate_ids",
     "shared_automaton",
     "clear_automaton_cache",
     "ONE_SHOT_DFA_LIMIT",
@@ -150,6 +167,25 @@ def anchor_literal_id(rule) -> Optional[int]:
     return anchor
 
 
+def pcre_gate_ids(rule) -> Optional[Tuple[Optional[FrozenSet[int]], ...]]:
+    """Per ``rule.pcres`` entry, the interned ids of its gate literals (or
+    None for an ungated pcre), cached on the rule; None when no pcre of
+    the rule is gated.  A gated pcre can match only where one of its ids
+    is present."""
+    gates = getattr(rule, "_mp_gates", False)
+    if gates is False:
+        gates = tuple(
+            None
+            if pcre.gate is None
+            else frozenset(intern_literal(needle, nocase) for needle, nocase in pcre.gate)
+            for pcre in rule.pcres
+        )
+        if all(gate is None for gate in gates):
+            gates = None
+        rule._mp_gates = gates
+    return gates
+
+
 # -- shared automaton cache ----------------------------------------------------
 
 #: process-wide finalized automatons keyed by their literal-id set.  Sweep
@@ -169,15 +205,16 @@ def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
     """A process-cached, finalized automaton over ``rules``' literals.
 
     The cache key is the sorted tuple of interned literal ids the rules
-    require — global interning dedupes ``(needle, nocase)`` pairs, so two
-    rulesets with identical literal content map to the same key even if
-    they interned in different orders.  On a miss the automaton is built
-    and finalized immediately (so its version is stable from the first
-    scan); engines must treat a cached instance as immutable and replace
-    it instead of extending it.
+    require, pcre gate literals included — global interning dedupes
+    ``(needle, nocase)`` pairs, so two rulesets with identical literals
+    map to the same key even if they interned in different orders.  On a
+    miss the automaton is built and finalized immediately (so its version
+    is stable from the first scan); engines must treat a cached instance
+    as immutable and replace it instead of extending it.
 
-    Per-rule caches (``_mp_required``/``_mp_anchor``) are warmed here even
-    on a hit, because hit-path callers skip :meth:`add_rules`.
+    Per-rule caches (``_mp_required``/``_mp_anchor``/``_mp_gates``) are
+    warmed here even on a hit, because hit-path callers skip
+    :meth:`add_rules`.
     """
     rule_list = list(rules)
     ids: set = set()
@@ -186,6 +223,9 @@ def shared_automaton(rules: Iterable) -> "MultiPatternAutomaton":
         anchor_literal_id(rule)
         if required:
             ids.update(required)
+        for gate in pcre_gate_ids(rule) or ():
+            if gate is not None:
+                ids.update(gate)
     key = tuple(sorted(ids))
     automaton = _AUTOMATON_CACHE.get(key)
     if automaton is None:
@@ -248,7 +288,7 @@ class MultiPatternAutomaton:
 
     Built lazily: :meth:`add_literal`/:meth:`add_rules` extend the trie and
     mark the link/output tables dirty; the first scan after an extension
-    recomputes failure links and the dense transition table from the
+    recomputes failure links and the transition table from the
     persistent trie (incremental in the trie, amortized in the tables).
     ``version`` increments on every finalize so saved stream states from an
     older automaton are detected and rescanned.
@@ -261,8 +301,10 @@ class MultiPatternAutomaton:
         self._children: List[Dict[int, int]] = [{}]
         #: per-node folded pattern terminating there (or None)
         self._terminal: List[Optional[bytes]] = [None]
-        #: dense DFA tables, rebuilt by _finalize()
+        #: DFA tables indexed [state][byte class], rebuilt by _finalize()
         self._next: List[List[int]] = []
+        #: ``bytes.translate`` table mapping each byte to its class
+        self._classes = bytes(256)
         #: per-state tuple of (folded_len, members) output groups, () if none
         self._out: List[tuple] = []
         #: ``bytes.translate`` table marking the bytes that leave the root
@@ -301,15 +343,20 @@ class MultiPatternAutomaton:
         return lid
 
     def add_rules(self, rules: Iterable) -> None:
-        """Register every required literal of ``rules`` (idempotent)."""
+        """Register every required literal and pcre gate literal of
+        ``rules`` (idempotent)."""
         for rule in rules:
             for content in rule.contents:
                 if content.negated or not content.pattern:
                     continue
                 self.add_literal(content.needle(), content.nocase)
+            for pcre in rule.pcres:
+                for needle, nocase in pcre.gate or ():
+                    self.add_literal(needle, nocase)
             # warm the per-rule caches while we are here
             required_literal_ids(rule)
             anchor_literal_id(rule)
+            pcre_gate_ids(rule)
 
     def _trie_insert(self, folded: bytes) -> None:
         node = 0
@@ -325,7 +372,7 @@ class MultiPatternAutomaton:
         self._terminal[node] = folded
 
     def _finalize(self) -> None:
-        """Recompute failure links, collapsed outputs, and dense tables."""
+        """Recompute failure links, collapsed outputs, and transition tables."""
         children = self._children
         n_states = len(children)
         fail = [0] * n_states
@@ -356,24 +403,33 @@ class MultiPatternAutomaton:
             if out[fail[node]]:
                 out[node] = out[node] + out[fail[node]]
 
-        # dense goto-with-failure transition table
+        # Byte classes: each byte of some folded pattern is a class of its
+        # own; every other byte is class 0 and leads to the root from any
+        # state, so its transitions need no column of their own.
+        classes = bytearray(256)
+        alphabet = sorted({byte for folded in self._groups for byte in folded})
+        for cls, byte in enumerate(alphabet, 1):
+            classes[byte] = cls
+
+        # goto-with-failure transition table over byte classes
         root = children[0]
-        table: List[List[int]] = [[0] * 256 for _ in range(n_states)]
+        table: List[List[int]] = [[0] * (len(alphabet) + 1) for _ in range(n_states)]
         base = table[0]
         for byte, child in root.items():
-            base[byte] = child
+            base[classes[byte]] = child
         for node in order:
             row = table[node]
             fail_row = table[fail[node]]
             row[:] = fail_row
             for byte, child in children[node].items():
-                row[byte] = child
+                row[classes[byte]] = child
 
         self._next = table
+        self._classes = bytes(classes)
         self._out = [tuple(groups) for groups in out]
         # In state 0 every byte but these maps back to 0 and the root has
         # no outputs, so the walk may jump straight to the next of them.
-        self._root_marks = bytes(1 if child else 0 for child in base)
+        self._root_marks = bytes(1 if base[cls] else 0 for cls in classes)
         self._dirty = False
         self.version += 1
 
@@ -441,8 +497,8 @@ class MultiPatternAutomaton:
         table = self._next
         out = self._out
         position = start
-        for byte in memoryview(lowered)[start:]:
-            state = table[state][byte]
+        for cls in lowered[start:].translate(self._classes):
+            state = table[state][cls]
             position += 1
             groups = out[state]
             if groups:
@@ -455,26 +511,27 @@ class MultiPatternAutomaton:
         """:meth:`_walk`, but in state 0 jump to the next root-leaving byte.
 
         Exact, because in state 0 every other byte maps back to 0 and the
-        root has no outputs.  The tail is marked once with one C-speed
-        ``translate`` and each jump is one ``find`` of a mark; the per-call
-        set-up makes short tails cheaper to :meth:`_walk`.
+        root has no outputs.  The tail is marked and class-mapped once with
+        two C-speed ``translate`` calls and each jump is one ``find`` of a
+        mark; the per-call set-up makes short tails cheaper to :meth:`_walk`.
         """
         table = self._next
         out = self._out
-        find = lowered[start:].translate(self._root_marks).find
-        position = start
-        end = len(lowered)
-        while position < end:
+        tail = lowered[start:]
+        find = tail.translate(self._root_marks).find
+        classed = tail.translate(self._classes)
+        index = 0
+        end = len(classed)
+        while index < end:
             if not state:
-                position = find(1, position - start)
-                if position < 0:
+                index = find(1, index)
+                if index < 0:
                     return 0
-                position += start
-            state = table[state][lowered[position]]
-            position += 1
+            state = table[state][classed[index]]
+            index += 1
             groups = out[state]
             if groups:
-                _report(groups, haystack, position, present)
+                _report(groups, haystack, start + index, present)
         return state
 
     # -- reference implementation (tests cross-check against this) -------------

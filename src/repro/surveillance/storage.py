@@ -88,16 +88,26 @@ class RetentionStore:
         self.content: Deque[ContentRecord] = deque()
         self.flows: Dict[FiveTuple, FlowMetadata] = {}
         self.alerts: List[StoredAlert] = []
-        self.bytes_seen = 0
+        #: ``{(): bytes observed}``, a tally a metrics fold can hold
+        #: without holding the store
+        self.volume: Dict[tuple, int] = {(): 0}
         self.bytes_retained = 0
         self.bytes_evicted_for_budget = 0
         self.bytes_expired = 0
 
     # -- ingest -----------------------------------------------------------------
 
+    @property
+    def bytes_seen(self) -> int:
+        return self.volume[()]
+
+    @bytes_seen.setter
+    def bytes_seen(self, value: int) -> None:
+        self.volume[()] = value
+
     def observe_volume(self, size: int) -> None:
         """Account every observed byte (retained or not)."""
-        self.bytes_seen += size
+        self.volume[()] += size
 
     def store_content(self, record: ContentRecord) -> None:
         if not self.profile.captures_content:
@@ -121,7 +131,7 @@ class RetentionStore:
     # -- expiry and budget ------------------------------------------------------
 
     def _enforce_budget(self) -> None:
-        budget = self.profile.storage_fraction * self.bytes_seen
+        budget = self.profile.storage_fraction * self.volume[()]
         while self.content and self.bytes_retained > budget:
             evicted = self.content.popleft()
             self.bytes_retained -= evicted.size

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..netsim.middlebox import Action, Middlebox, TapContext
-from ..obs.metrics import active_or_none
+from ..obs.metrics import TallyFold, active_or_none
 from ..packets import IPPacket, canonical_flow
 from ..rules import DEFAULT_VARIABLES, RuleEngine
 from ..rules.rulesets import (
@@ -80,29 +80,39 @@ class SurveillanceSystem(Middlebox):
         self.engine = RuleEngine.from_text(
             ruleset, variables=variables, obs_label="mvr"
         )
+        #: the ingest ledger: ``{(): packets seen}`` (a tally a metrics
+        #: fold can hold without holding the tap), bytes per class
+        self._packets: Dict[tuple, int] = {(): 0}
+        self.bytes_discarded = 0
+        self.discarded_by_class: Counter = Counter()
+        self.retained_by_class: Counter = Counter()
         # Per-stage byte/alert counters — the MVR numbers the paper's
-        # argument is about (which stage a packet dies in).
+        # argument is about (which stage a packet dies in).  The ingest
+        # and per-class byte counters fold from the ledger on registry
+        # read; the rare alert and bot counters stay inline.
         obs = active_or_none()
         self._obs = obs
         if obs is not None:
-            self._m_ingest_pkts = obs.counter(
-                "mvr_packets_ingested_total",
-                "Packets entering the surveillance tap",
-            )
-            self._m_ingest_bytes = obs.counter(
-                "mvr_bytes_ingested_total",
-                "Wire bytes entering the surveillance tap",
-            )
-            self._m_discard_bytes = obs.counter(
-                "mvr_bytes_discarded_total",
-                "Bytes discarded by stage-1 Massive Volume Reduction",
-                ("traffic_class",),
-            )
-            self._m_retain_bytes = obs.counter(
-                "mvr_bytes_retained_total",
-                "Bytes retained as content past stage 1",
-                ("traffic_class",),
-            )
+            TallyFold(obs, (
+                (obs.counter(
+                    "mvr_packets_ingested_total",
+                    "Packets entering the surveillance tap",
+                ), self._packets),
+                (obs.counter(
+                    "mvr_bytes_ingested_total",
+                    "Wire bytes entering the surveillance tap",
+                ), self.store.volume),
+                (obs.counter(
+                    "mvr_bytes_discarded_total",
+                    "Bytes discarded by stage-1 Massive Volume Reduction",
+                    ("traffic_class",),
+                ), self.discarded_by_class),
+                (obs.counter(
+                    "mvr_bytes_retained_total",
+                    "Bytes retained as content past stage 1",
+                    ("traffic_class",),
+                ), self.retained_by_class),
+            ))
             self._m_alerts = obs.counter(
                 "mvr_alerts_stored_total",
                 "Interest alerts stored with user attribution",
@@ -112,10 +122,6 @@ class SurveillanceSystem(Middlebox):
                 "mvr_bot_sightings_total",
                 "Commodity detections marking a source bot-like",
             )
-        self.packets_seen = 0
-        self.bytes_discarded = 0
-        self.discarded_by_class: Counter = Counter()
-        self.retained_by_class: Counter = Counter()
         #: Sources the commodity detections classified as bot-like, with
         #: detection timestamps.  Interest alerts from such sources are
         #: suppressed within ``bot_suppression_window`` seconds: a host
@@ -132,8 +138,16 @@ class SurveillanceSystem(Middlebox):
 
     # -- tap entry point ----------------------------------------------------------
 
+    @property
+    def packets_seen(self) -> int:
+        return self._packets[()]
+
+    @packets_seen.setter
+    def packets_seen(self, value: int) -> None:
+        self._packets[()] = value
+
     def process(self, packet: IPPacket, ctx: TapContext) -> Action:
-        self.packets_seen += 1
+        self._packets[()] += 1
         now = ctx.now
         # wire_length() gives the serialized size without materializing (and
         # checksumming) the wire bytes for every transit packet.
@@ -149,9 +163,6 @@ class SurveillanceSystem(Middlebox):
     def _ingest(self, packet: IPPacket, now: float, size: int, alerts) -> None:
         self.store.observe_volume(size)
         obs = self._obs
-        if obs is not None:
-            self._m_ingest_pkts.inc()
-            self._m_ingest_bytes.inc((), size)
 
         # Track bot-like behaviour per claimed source: these sightings
         # retroactively devalue interest alerts from the same source.
@@ -187,13 +198,9 @@ class SurveillanceSystem(Middlebox):
         if traffic_class in TrafficClass.DISCARDED:
             self.bytes_discarded += size
             self.discarded_by_class[traffic_class] += size
-            if obs is not None:
-                self._m_discard_bytes.inc((traffic_class,), size)
             return
 
         self.retained_by_class[traffic_class] += size
-        if obs is not None:
-            self._m_retain_bytes.inc((traffic_class,), size)
         self.store.store_content(
             ContentRecord(
                 time=now,

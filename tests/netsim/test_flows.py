@@ -7,6 +7,9 @@ addresses without per-user hosts, and aggregate accounting preserves the
 link conservation invariant packet forwarding already maintains.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.netsim import (
@@ -18,6 +21,8 @@ from repro.netsim import (
     Simulator,
     build_censored_as,
 )
+from repro.obs import MetricsRegistry, use_registry
+from repro.traffic.population import PopulationTraffic
 
 
 def line_network():
@@ -215,3 +220,71 @@ class TestAggregateAccounting:
         assert stats["flows_expanded"] == 0
         assert stats["bytes_aggregate"] == 2 * 21_000
         assert engine.bytes_total == 2 * 21_000
+
+
+class TestTierCounterFold:
+    """``population_*`` counters fold from the engine's per-(tier, kind)
+    tallies on registry read: exact at every read, never double-counted,
+    and no label row for a tally that never moved."""
+
+    @staticmethod
+    def rows(registry, name):
+        return dict(registry.get(name).labelled())
+
+    @classmethod
+    def tier_sum(cls, registry, name, tier):
+        return sum(v for k, v in cls.rows(registry, name).items() if k[0] == tier)
+
+    def test_counters_equal_the_engine_ledger(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            topo = build_censored_as(seed=4)
+            topo.border_router.add_tap(PacketCapture())
+            population = PopulationTraffic(topo, users=300, fidelity="hybrid")
+            population.start(4.0)
+            topo.sim.run(until=topo.sim.now + 1.0)
+            first = registry.snapshot()
+            topo.sim.run(until=topo.sim.now + 5.0)
+            stats = population.engine.stats()
+            for _read in range(2):
+                for name, tier, total in (
+                    ("population_flows_total", "aggregate", "flows_aggregate"),
+                    ("population_flows_total", "expanded", "flows_expanded"),
+                    ("population_bytes_total", "aggregate", "bytes_aggregate"),
+                    ("population_bytes_total", "expanded", "bytes_materialized"),
+                ):
+                    assert self.tier_sum(registry, name, tier) == stats[total]
+                packets = self.rows(registry, "population_packets_materialized_total")
+                assert sum(packets.values()) == stats["packets_materialized"]
+        assert stats["flows_aggregate"] and stats["flows_expanded"]
+        assert first["instruments"]["population_flows_total"]["values"]
+        # a tally that did not move since the last fold adds no row
+        registry.clear()
+        assert self.rows(registry, "population_flows_total") == {}
+
+    def test_engine_collected_before_the_read_still_reports(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            sim, net, _a, _b, _c = line_network()
+            engine = FlowFidelityEngine(net, "aggregate")
+            engine.submit(aggregate_flow(flow_id=1))
+            engine.submit(aggregate_flow(flow_id=2))
+            sim.run()
+            gone = weakref.ref(engine)
+            del engine
+            gc.collect()
+            assert gone() is None
+            flows = self.rows(registry, "population_flows_total")
+            bytes_ = self.rows(registry, "population_bytes_total")
+        assert flows == {("aggregate", "web"): 2}
+        assert bytes_ == {("aggregate", "web"): 2 * 21_000}
+
+    def test_idle_engine_adds_no_label_rows(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            _sim, net, _a, _b, _c = line_network()
+            FlowFidelityEngine(net, "hybrid")
+            snapshot = registry.snapshot()
+        for name in ("population_flows_total", "population_bytes_total",
+                     "population_packets_materialized_total"):
+            assert snapshot["instruments"][name]["values"] == []

@@ -17,6 +17,7 @@ from repro.obs import (
     set_registry,
     use_registry,
 )
+from repro.obs.metrics import TallyFold
 
 
 class TestCounter:
@@ -379,6 +380,59 @@ class TestRegistry:
         assert "# TYPE repro_hits_total counter" in text
         assert 'repro_hits_total{host="alice"} 3' in text
 
+
+
+class TestTallyFold:
+    """Plain tallies folded into counters at read time."""
+
+    def test_reads_equal_the_tallies_and_never_double_count(self):
+        reg = MetricsRegistry()
+        hits = reg.counter("hits_total", labels=("host",))
+        tally = {}
+        TallyFold(reg, ((hits, tally),))
+        tally[("alice",)] = 3
+        assert reg.get("hits_total").value(("alice",)) == 3
+        tally[("alice",)] = 5
+        tally[("bob",)] = 1
+        reg.snapshot()
+        reg.snapshot()
+        assert dict(hits.labelled()) == {("alice",): 5, ("bob",): 1}
+
+    def test_scalar_keys_are_a_single_label(self):
+        reg = MetricsRegistry()
+        hits = reg.counter("hits_total", labels=("host",))
+        TallyFold(reg, ((hits, {"alice": 2}),))
+        assert dict(reg.get("hits_total").labelled()) == {("alice",): 2}
+
+    def test_a_total_that_never_moved_adds_no_row(self):
+        reg = MetricsRegistry()
+        hits = reg.counter("hits_total", labels=("host",))
+        tally = {("alice",): 0}
+        TallyFold(reg, ((hits, tally),))
+        assert reg.snapshot()["instruments"]["hits_total"]["values"] == []
+        tally[("alice",)] = 4
+        reg.clear()
+        assert reg.snapshot()["instruments"]["hits_total"]["values"] == []
+
+    def test_outlives_its_producer(self):
+        """The registry holds the fold, which holds only the tally: what
+        a producer counted is reported after the producer is collected."""
+        import gc
+        import weakref
+
+        class Producer:
+            def __init__(self, reg):
+                self.tally = {(): 0}
+                TallyFold(reg, ((reg.counter("hits_total"), self.tally),))
+
+        reg = MetricsRegistry()
+        producer = Producer(reg)
+        producer.tally[()] += 7
+        gone = weakref.ref(producer)
+        del producer
+        gc.collect()
+        assert gone() is None
+        assert reg.get("hits_total").value() == 7
 
 class TestSnapshot:
     def _populated(self):

@@ -280,3 +280,23 @@ class TestMalformedRows:
         write_records(path, "cafe", [row(), row(point=1, attempts="x")])
         with pytest.raises(ValueError, match="record row 2 has a wrongly typed"):
             analyze_records(iter_rows(path))
+
+
+class TestNaNKeys:
+    """A NaN loss opens one cell however many NaN objects the rows hold."""
+
+    def test_in_memory_nan_rows_share_one_cell(self, tmp_path):
+        rows = [
+            row(loss=float("nan"), point=index, target="example.org",
+                verdict="accessible")
+            for index in range(5)
+        ]
+        in_memory = RecordAnalysis().extend(rows)
+        assert len(in_memory._cells) == 1
+        path = str(tmp_path / "nan.records.jsonl")
+        write_records(path, "nan", rows)
+        read_back = RecordAnalysis().extend(iter_rows(path))
+        assert len(read_back._cells) == 1
+        assert repr(in_memory.as_dict()) == repr(read_back.as_dict())
+        ((loss, rate, samples),) = in_memory.false_block_curves()["scan"]["retry-3"]
+        assert loss != loss and rate == 0.0 and samples == 5

@@ -61,6 +61,10 @@ def naive_iter_rows(path):
 class NaiveRecordAnalysis(RecordAnalysis):
     """The fold before slot resolution: the full dictionary walk per row."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._nan = {}
+
     def add(self, row: Mapping[str, object]) -> None:
         """Fold one record row into the aggregates."""
         technique = row["technique"]
@@ -135,9 +139,13 @@ class NaiveRecordAnalysis(RecordAnalysis):
 
         truth = self.truly_blocked(target, vantage)
         if truth is not None:
-            cell = self._cells.setdefault(
-                (technique, row["retry"], row["loss"]), ConfusionCounts()
+            # NaN key parts are one key however many NaN objects the
+            # rows hold: every NaN maps to the first one seen.
+            key = tuple(
+                self._nan.setdefault("nan", part) if part != part else part
+                for part in (technique, row["retry"], row["loss"])
             )
+            cell = self._cells.setdefault(key, ConfusionCounts())
             overall = self._tech_confusion.setdefault(technique, ConfusionCounts())
             counts_list = [cell, overall]
             if censor and censor != "none":

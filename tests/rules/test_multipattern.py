@@ -218,6 +218,37 @@ class TestRootSkipWalk:
         assert _stream_scan(automaton, whole, [len(head), len(whole)]) == ({lid}, 0)
 
 
+
+class TestByteClasses:
+    """DFA rows are indexed by byte class: one class per byte of some
+    folded pattern, and class 0 for every other byte."""
+
+    LITERALS = ((b"GET ", False), (b"viagra", True), (b"\x00\xff", False))
+
+    def _automaton(self):
+        automaton = MultiPatternAutomaton()
+        ids = [automaton.add_literal(needle, nocase) for needle, nocase in self.LITERALS]
+        automaton.ensure_ready()
+        return automaton, ids
+
+    def test_rows_hold_one_entry_per_pattern_byte_plus_one(self):
+        automaton, _ids = self._automaton()
+        distinct = set(b"get viagra\x00\xff")
+        assert {len(row) for row in automaton._next} == {len(distinct) + 1}
+
+    def test_every_byte_value_walks_like_naive_in(self):
+        """Each of the 256 byte values, between and inside planted
+        needles, through the per-byte walk and the root-skipping walk."""
+        automaton, ids = self._automaton()
+        every = bytes(range(256))
+        for planted in (b"", b"GET ", b"VIAGRA", b"\x00\xff", b"viaXgra"):
+            hay = every + planted + every[::-1]
+            present = set()
+            automaton._walk(hay.lower(), hay, 0, 0, present)
+            assert present == automaton.naive_present(hay), planted
+            assert _stream_scan(automaton, hay, [len(hay)])[0] == present, planted
+        assert automaton.scan(b"x GET viagra") == set(ids[:2])
+
 class TestOverlappingLiterals:
     def test_nested_and_overlapping_needles_all_hit(self):
         automaton = MultiPatternAutomaton()

@@ -282,6 +282,60 @@ class TestArithmeticPlan:
         assert above[0] == below[0]
 
 
+#: ids at the edges of every width the templates format a flow id at
+MEMO_FLOW_IDS = (
+    0, 0xFFFF, 0x10000, 999_999, 1_000_000, 0xFFFFF, 0x100000, 0xFFFFFF,
+)
+
+
+def profile_params(population):
+    """Every ``(kind, params)`` the population's profile can draw."""
+    profile = population.profile
+    sites = population._local_sites + population._external_sites
+    for _ip, host in sites:
+        for page in profile.page_bytes:
+            yield "web", (host, page)
+    for qname in population._dns_names:
+        yield "dns", (qname,)
+    for segments in profile.video_segments_per_fetch:
+        yield "video", ("video.example.com", profile.video_segment_bytes, segments)
+    for message in profile.message_bytes:
+        yield "smtp", ("client.example.com", message)
+
+
+class TestPlanMemo:
+    """A population memoises plans on ``(kind, plan_key)``; a memo hit must
+    return what planning the flow afresh returns."""
+
+    @pytest.mark.parametrize("order", [MEMO_FLOW_IDS, MEMO_FLOW_IDS[::-1]])
+    def test_memo_equals_plan_and_script_walk(self, order):
+        population = PopulationTraffic(build_censored_as(seed=1), users=10)
+        params_seen = list(profile_params(population))
+        assert {kind for kind, _params in params_seen} == set(population._templates)
+        for flow_id in order:
+            for kind, params in params_seen:
+                template = population._templates[kind]
+                memo = population._plan(template, flow_id, params)
+                assert memo == template.plan(flow_id, params)
+                walked = _FlowTemplate.plan(template, flow_id, params)
+                assert memo[:4] == walked[:4]
+                assert memo[4].hex() == walked[4].hex()
+
+    def test_smtp_key_splits_at_one_million(self):
+        template = _SMTPTemplate()
+        params = ("client.example.com", 900)
+        assert template.plan_key(999_999, params) == template.plan_key(0x100000, params)
+        assert template.plan_key(1_000_000, params) == template.plan_key(0xFFFFF, params)
+        assert template.plan_key(999_999, params) != template.plan_key(1_000_000, params)
+
+    def test_memo_is_per_population(self):
+        topo = build_censored_as(seed=1)
+        first = PopulationTraffic(topo, users=10)
+        second = PopulationTraffic(build_censored_as(seed=2), users=10)
+        first._plan(first._templates["dns"], 0, ("cdn-00.example.com",))
+        assert first._plans and not second._plans
+
+
 class TestPopulationSurface:
     def test_user_count_bounds_enforced(self):
         topo = build_censored_as(seed=1)
