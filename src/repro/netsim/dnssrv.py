@@ -17,8 +17,6 @@ from ..packets import (
     QTYPE_A,
     QTYPE_CNAME,
     QTYPE_MX,
-    QTYPE_NS,
-    QTYPE_TXT,
     RCODE_NXDOMAIN,
     RCODE_OK,
 )
@@ -56,14 +54,8 @@ class Zone:
             DNSRecord(name=name, rtype=QTYPE_MX, data=(preference, exchange), ttl=ttl)
         )
 
-    def add_ns(self, name: str, nsdname: str, ttl: int = 300) -> "Zone":
-        return self.add(DNSRecord(name=name, rtype=QTYPE_NS, data=nsdname, ttl=ttl))
-
     def add_cname(self, name: str, target: str, ttl: int = 300) -> "Zone":
         return self.add(DNSRecord(name=name, rtype=QTYPE_CNAME, data=target, ttl=ttl))
-
-    def add_txt(self, name: str, text: str, ttl: int = 300) -> "Zone":
-        return self.add(DNSRecord(name=name, rtype=QTYPE_TXT, data=text, ttl=ttl))
 
     def lookup(self, name: str, qtype: int) -> List[DNSRecord]:
         """Records for the query, following one level of CNAME for A queries."""
@@ -156,19 +148,54 @@ def resolve(
     query = DNSMessage.query(name, qtype=qtype, txid=txid)
     wire = query.to_bytes()
     tries_total = max(1, retries + 1)
-    try_timeout = timeout / tries_total
-    state = {"answered": False, "tries_left": tries_total}
+    _Lookup(client, server_ip, name, qtype, callback, txid, wire,
+            timeout / tries_total, tries_total).send_try()
 
-    def on_reply(payload: bytes, _packet) -> None:
-        if callback is None or state["answered"]:
+
+class _Lookup:
+    """One stub-resolver lookup in flight.  Its bound methods are the UDP
+    callbacks and nothing it holds refers back to it, so a finished or
+    abandoned lookup is freed by refcounting instead of keeping its
+    client's world in a reference cycle."""
+
+    __slots__ = ("client", "server_ip", "name", "qtype", "callback", "txid",
+                 "wire", "try_timeout", "tries_left", "answered")
+
+    def __init__(self, client, server_ip, name, qtype, callback, txid, wire,
+                 try_timeout, tries_left) -> None:
+        self.client = client
+        self.server_ip = server_ip
+        self.name = name
+        self.qtype = qtype
+        self.callback = callback
+        self.txid = txid
+        self.wire = wire
+        self.try_timeout = try_timeout
+        self.tries_left = tries_left
+        self.answered = False
+
+    def send_try(self) -> None:
+        self.tries_left -= 1
+        self.client.stack.udp_request(
+            dst=self.server_ip,
+            dport=DNS_PORT,
+            payload=self.wire,
+            on_reply=self.on_reply,
+            on_timeout=self.on_timeout,
+            timeout=self.try_timeout,
+        )
+
+    def on_reply(self, payload: bytes, _packet) -> None:
+        callback, name, qtype = self.callback, self.name, self.qtype
+        if callback is None or self.answered:
             return
-        state["answered"] = True
+        self.answered = True
         try:
             message = DNSMessage.from_bytes(payload)
         except (ValueError, IndexError):
             callback(DNSResult(status="error", name=name, qtype=qtype))
             return
-        if message.txid != txid:
+        if message.txid != self.txid:
             callback(DNSResult(status="error", name=name, qtype=qtype))
             return
         if message.rcode == RCODE_NXDOMAIN:
@@ -189,24 +216,11 @@ def resolve(
                 )
             )
 
-    def on_timeout() -> None:
-        if state["answered"]:
+    def on_timeout(self) -> None:
+        if self.answered:
             return
-        if state["tries_left"] > 0:
-            send_try()
+        if self.tries_left > 0:
+            self.send_try()
             return
-        if callback is not None:
-            callback(DNSResult(status="timeout", name=name, qtype=qtype))
-
-    def send_try() -> None:
-        state["tries_left"] -= 1
-        client.stack.udp_request(
-            dst=server_ip,
-            dport=DNS_PORT,
-            payload=wire,
-            on_reply=on_reply,
-            on_timeout=on_timeout,
-            timeout=try_timeout,
-        )
-
-    send_try()
+        if self.callback is not None:
+            self.callback(DNSResult(status="timeout", name=self.name, qtype=self.qtype))

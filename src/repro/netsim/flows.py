@@ -146,17 +146,17 @@ class FlowFidelityEngine:
                     "population_flows_total",
                     "Background flows advanced, by fidelity tier and workload kind",
                     ("tier", "kind"),
-                ), self.flows),
+                ), self.flows.items),
                 (obs.counter(
                     "population_bytes_total",
                     "Background wire bytes accounted, by fidelity tier and kind",
                     ("tier", "kind"),
-                ), self.bytes),
+                ), self.bytes.items),
                 (obs.counter(
                     "population_packets_materialized_total",
                     "Byte-accurate packets materialized for tap-crossing flows",
                     ("kind",),
-                ), self.packets),
+                ), self.packets.items),
             ))
 
     # -- tier decision -------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from ..obs.metrics import MetricsRegistry, active_or_none
+from ..obs.metrics import MetricsRegistry, TallyFold, active_or_none
 from .impairment import (
     DELIVER_CLEAN,
     DROPPED,
@@ -104,49 +104,35 @@ _FOLDED_COUNTERS = (
 )
 
 
-class _LedgerFold:
-    """Folds one link's ledger into the registry's ``link_*`` counters.
+def _fold_ledger(obs: MetricsRegistry, name: str,
+                 ledger: Dict[str, DirectionStats]) -> None:
+    """Register a :class:`TallyFold` of one link's ledger into the
+    ``link_*`` counters.  Its callables read the ledger, not the link,
+    so a link collected before the read still reports and no simulation
+    is kept alive."""
 
-    A registry flush hook: the counters are exact whenever they are read
-    (``get``/``snapshot``/``merge``), and forwarding never touches the
-    registry.  Each call adds only what the ledger gained since the last,
-    so repeated reads never double-count.  It holds the ledger, not the
-    link, so the registry can hold it strongly: a link collected before
-    the read still reports, and no simulation is kept alive.
-    """
+    def field_items(field: str):
+        return lambda: [
+            ((name, direction), getattr(stats, field))
+            for direction, stats in ledger.items()
+        ]
 
-    __slots__ = ("name", "ledger", "folded", "counters", "dropped")
+    def drop_items():
+        return [
+            ((name, direction, reason), count)
+            for direction, stats in ledger.items()
+            for reason, count in stats.drops.items()
+        ]
 
-    def __init__(self, name: str, ledger: Dict[str, DirectionStats],
-                 obs: MetricsRegistry) -> None:
-        self.name = name
-        self.ledger = ledger
-        self.folded = {direction: DirectionStats() for direction in ledger}
-        self.counters = {
-            field: obs.counter(metric, help_text, ("link", "direction"))
-            for field, metric, help_text in _FOLDED_COUNTERS
-        }
-        self.dropped = obs.counter(
-            "link_packets_dropped_total",
-            "Drops per link direction, labeled by the impairment that "
-            "dropped (or legacy_loss for the flat loss knob)",
-            ("link", "direction", "reason"),
-        )
-
-    def __call__(self) -> None:
-        for direction, stats in self.ledger.items():
-            done = self.folded[direction]
-            labels = (self.name, direction)
-            for field, counter in self.counters.items():
-                delta = getattr(stats, field) - getattr(done, field)
-                if delta:
-                    counter.inc(labels, delta)
-                    setattr(done, field, getattr(stats, field))
-            for reason, count in stats.drops.items():
-                delta = count - done.drops.get(reason, 0)
-                if delta:
-                    self.dropped.inc((self.name, direction, reason), delta)
-                    done.drops[reason] = count
+    TallyFold(obs, [
+        (obs.counter(metric, help_text, ("link", "direction")), field_items(field))
+        for field, metric, help_text in _FOLDED_COUNTERS
+    ] + [(obs.counter(
+        "link_packets_dropped_total",
+        "Drops per link direction, labeled by the impairment that "
+        "dropped (or legacy_loss for the flat loss knob)",
+        ("link", "direction", "reason"),
+    ), drop_items)])
 
 
 class _DirectionRngs(dict):
@@ -216,9 +202,7 @@ class Link:
         ] = {direction: None for direction in DIRECTIONS}
         obs = active_or_none()
         if obs is not None:
-            obs.on_flush(
-                _LedgerFold(f"{a.name}<->{b.name}", self.stats, obs), weak=False
-            )
+            _fold_ledger(obs, f"{a.name}<->{b.name}", self.stats)
 
     # -- impairment configuration -------------------------------------------
 

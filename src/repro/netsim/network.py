@@ -116,7 +116,8 @@ class Network:
             node.network = None
             node.taps = []
             node._hops = {}
-            if node.is_host:
+            if node.is_host and node.stack is not None:
+                node.stack.teardown()
                 node.stack = None
         self.nodes.clear()
         self.links.clear()

@@ -71,6 +71,12 @@ RESET = "RESET"
 EventHandler = Callable[[str, bytes], None]
 
 
+def _detached(event: str, data: bytes) -> None:
+    """The handler of a finished connection: its application's handler
+    usually closes over the connection, so holding it would keep that
+    pair in a reference cycle."""
+
+
 class _UnackedSegment:
     """One retransmittable segment awaiting acknowledgement."""
 
@@ -139,10 +145,6 @@ class TCPConnection:
             )
 
     # -- public API -----------------------------------------------------------
-
-    @property
-    def is_open(self) -> bool:
-        return self.state == ESTABLISHED
 
     def send(self, data: bytes) -> None:
         """Send application data (buffered until the handshake completes)."""
@@ -300,8 +302,9 @@ class TCPConnection:
             )
             self._span = None
         self.stack._forget(self)
+        handler, self.handler = self.handler, _detached
         if notify is not None:
-            self.handler(notify, b"")
+            handler(notify, b"")
 
     def _flush_pending(self) -> None:
         pending, self._pending_sends = self._pending_sends, []
@@ -474,9 +477,6 @@ class NetworkStack:
         """Observe every packet delivered to this host (libpcap-style)."""
         self._sniffers.append(callback)
 
-    def remove_sniffer(self, callback: Callable[[IPPacket], None]) -> None:
-        self._sniffers.remove(callback)
-
     # -- UDP ------------------------------------------------------------------------
 
     def udp_listen(self, port: int, handler: Callable) -> None:
@@ -544,9 +544,6 @@ class NetworkStack:
             raise ValueError(f"TCP port {port} already bound on {self.host.name}")
         self._tcp_listeners[port] = (acceptor, reply_ttl)
 
-    def tcp_ports_open(self) -> List[int]:
-        return sorted(self._tcp_listeners)
-
     def tcp_connect(
         self,
         dst: str,
@@ -575,6 +572,13 @@ class NetworkStack:
         if entry is not None:
             acceptor, _reply_ttl = entry
             acceptor(conn)
+
+    def teardown(self) -> None:
+        """Drop a finished world's open connections: each one and its
+        application's handler point at one another (see ``_detached``)."""
+        for conn in self._tcp_conns.values():
+            conn.handler = _detached
+        self._tcp_conns.clear()
 
     def _forget(self, conn: TCPConnection) -> None:
         self._tcp_conns.pop((conn.local_port, conn.remote_ip, conn.remote_port), None)

@@ -98,10 +98,6 @@ class CensoredASTopology:
             return self.sim.run()
         return self.sim.run_for(duration)
 
-    def hops_from_border_to_client(self) -> int:
-        """Router hops from the border tap to any client host (for TTL math)."""
-        return 1  # internal router only; the access switch is L2
-
     def reply_ttl_dying_inside(self) -> int:
         """A TTL that crosses the border taps but expires before clients.
 

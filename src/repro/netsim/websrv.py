@@ -88,10 +88,6 @@ class HTTPResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
-    @property
-    def blocked_by_rst(self) -> bool:
-        return self.status == "reset"
-
 
 def http_get(
     client: Host,

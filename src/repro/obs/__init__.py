@@ -18,15 +18,10 @@ None`` check:
 
 from .export import canonical_json, write_json, write_jsonl
 from .metrics import (
-    NULL,
     Counter,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    NullRecorder,
     active_or_none,
-    current_registry,
     set_registry,
     use_registry,
 )
@@ -43,15 +38,10 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_jsonl",
-    "NULL",
     "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRecorder",
     "active_or_none",
-    "current_registry",
     "set_registry",
     "use_registry",
     "Span",

@@ -1,61 +1,51 @@
-"""Simulation-native metrics: labeled counters, gauges, and histograms.
+"""Simulation-native metrics: labelled counters folded on read.
 
 The paper's argument is about *where* packets go — which MVR stage
-discards them, which link direction loses them, how many retries a
-verdict consumed.  This registry gives every layer a shared, cheap place
-to record those numbers so a run can answer them without ad-hoc prints
-or re-deriving them from capture dumps.
+discards them, which link direction loses them, which rule fired.  This
+registry gives every layer a shared, cheap place to record those counts
+so a run can answer them without ad-hoc prints or re-deriving them from
+capture dumps.  It records counters only; :class:`Histogram` is a
+standalone quantile structure for the analysis layer, not a registry
+instrument.
 
 Design constraints, in order:
 
 1. **Zero overhead when off.**  Instrumented constructors resolve their
-   recorder once via :func:`active_or_none`; when no registry is
-   installed they store ``None`` and every hot path pays exactly one
-   ``if self._obs is not None`` check; components that already keep a
-   ledger (links, the surveillance tap, the flow tier) pay nothing even
-   when on, because a flush hook (:class:`TallyFold` for plain tallies)
-   folds the ledger into the registry at read time.  :class:`NullRecorder`
-   exists for call sites that want unconditional instrument handles —
-   all of its instruments are shared no-op singletons, and the recorder
-   itself is falsy.
+   registry once via :func:`active_or_none`; ``None`` is the one "off"
+   value, so every hot path pays at most one ``is not None`` check.
+   Components with a hot path (links, rule engines, the surveillance
+   tap, the flow tier) keep plain running tallies and never touch the
+   registry while simulating: a :class:`TallyFold` registered at
+   construction folds the tallies into their counters whenever the
+   registry is read.
 2. **Determinism.**  Snapshots order instruments and label tuples by
    sorted name, never by hash or insertion accident, so two same-seed
    runs produce byte-identical exports (the property the trace/metrics
-   determinism tests assert).
-3. **No dependencies.**  Plain dicts keyed by label-value tuples; the
-   text rendering is Prometheus-flavoured for familiarity, not for
-   scrape compatibility.
+   determinism tests assert).  A fold holds only the tallies it reads,
+   and the registry holds the fold, so what a component counted is
+   reported whether or not the component has been collected.
+3. **No dependencies.**  Plain dicts keyed by label-value tuples.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+)
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRecorder",
-    "NULL",
     "TallyFold",
-    "DEFAULT_LATENCY_BUCKETS",
     "active_or_none",
-    "current_registry",
     "set_registry",
     "use_registry",
 ]
 
 LabelTuple = Tuple[str, ...]
-
-#: Fixed buckets for simulated-seconds latency histograms (RTTs in the
-#: reference topologies are milliseconds; retries stretch to seconds).
-DEFAULT_LATENCY_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, float("inf")
-)
 
 
 class _Instrument:
@@ -84,18 +74,6 @@ class _Instrument:
     def clear(self) -> None:
         self._values.clear()
 
-    def _merge_compatible(self, other: "_Instrument") -> None:
-        """Raise unless ``other`` can be folded into this instrument."""
-        if type(other) is not type(self):
-            raise TypeError(
-                f"{self.name}: cannot merge {other.kind} into {self.kind}"
-            )
-        if other.label_names != self.label_names:
-            raise ValueError(
-                f"{self.name}: cannot merge labels {other.label_names} "
-                f"into {self.label_names}"
-            )
-
 
 class Counter(_Instrument):
     """A monotonically increasing count, optionally labeled."""
@@ -116,60 +94,18 @@ class Counter(_Instrument):
         """Sum across all label combinations."""
         return sum(self._values.values())
 
-    def merge_from(self, other: "Counter") -> None:
-        """Fold ``other`` into this counter: per-label sums."""
-        self._merge_compatible(other)
-        for labels, value in other._values.items():
-            self._values[labels] = self._values.get(labels, 0) + value
-
-
-class Gauge(_Instrument):
-    """A value that can go anywhere; also tracks via :meth:`track_max`."""
-
-    kind = "gauge"
-    __slots__ = ()
-
-    def set(self, labels: LabelTuple = (), value: float = 0) -> None:
-        self._check(labels)
-        self._values[labels] = value
-
-    def track_max(self, labels: LabelTuple = (), value: float = 0) -> None:
-        """Keep the high-water mark (used for queue depths)."""
-        self._check(labels)
-        current = self._values.get(labels)
-        if current is None or value > current:
-            self._values[labels] = value
-
-    def value(self, labels: LabelTuple = ()) -> float:
-        return self._values.get(labels, 0)
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Fold ``other`` into this gauge: per-label max.
-
-        Cross-worker ``set()`` order is undefined, so the only merge that
-        is independent of execution interleaving is the high-water mark —
-        which is also exactly right for the ``track_max`` gauges the
-        codebase uses (queue depths, high-water counters).
-        """
-        self._merge_compatible(other)
-        for labels, value in other._values.items():
-            current = self._values.get(labels)
-            if current is None or value > current:
-                self._values[labels] = value
-
 
 class Histogram(_Instrument):
     """Fixed-bucket histogram storing *per-bucket* counts plus sum/count.
 
     Buckets are upper bounds; an observation lands in the first bucket
-    whose bound is >= the value (the last bound should be ``inf``), and
-    each bucket's stored count is the number of observations that landed
-    in exactly that bucket — not a running total.  The exporters derive
-    the Prometheus-style *cumulative* view (``_bucket{le="..."}`` lines,
-    :meth:`cumulative_counts`) from this storage on demand.
+    whose bound is >= the value (``inf`` is appended when the last bound
+    is finite), and each bucket's stored count is the number of
+    observations that landed in exactly that bucket — not a running
+    total.  The record analysis keeps its verdict latencies here and
+    reports :meth:`quantile` estimates from them.
     """
 
-    kind = "histogram"
     __slots__ = ("buckets",)
 
     def __init__(
@@ -177,7 +113,7 @@ class Histogram(_Instrument):
         name: str,
         help: str,
         label_names: Sequence[str],
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
+        buckets: Sequence[float],
     ) -> None:
         super().__init__(name, help, label_names)
         bounds = tuple(buckets)
@@ -224,15 +160,6 @@ class Histogram(_Instrument):
             return [0] * len(self.buckets)
         return list(state["counts"])
 
-    def cumulative_counts(self, labels: LabelTuple = ()) -> List[int]:
-        """Prometheus-style cumulative counts: entry i is observations <= bound i."""
-        running = 0
-        out = []
-        for count in self.bucket_counts(labels):
-            running += count
-            out.append(running)
-        return out
-
     def quantile(self, p: float, labels: LabelTuple = ()) -> Optional[float]:
         """Estimate the ``p``-quantile from the fixed cumulative buckets.
 
@@ -270,126 +197,66 @@ class Histogram(_Instrument):
                 lower = bound
         return lower
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold ``other`` into this histogram: elementwise bucket adds."""
-        self._merge_compatible(other)
-        if other.buckets != self.buckets:
-            raise ValueError(
-                f"{self.name}: cannot merge bucket bounds {other.buckets} "
-                f"into {self.buckets}"
-            )
-        for labels, state in other._values.items():
-            mine = self._values.get(labels)
-            if mine is None:
-                mine = {"counts": [0] * len(self.buckets), "sum": 0.0, "count": 0}
-                self._values[labels] = mine
-            for index, count in enumerate(state["counts"]):
-                mine["counts"][index] += count
-            mine["sum"] += state["sum"]
-            mine["count"] += state["count"]
-
 
 class MetricsRegistry:
-    """A process-wide home for instruments; get-or-create by name.
+    """A home for counters; get-or-create by name.
 
-    Instruments are created once and shared: asking for an existing name
-    with matching kind/labels returns the same object, so independent
+    Counters are created once and shared: asking for an existing name
+    with matching labels returns the same object, so independent
     subsystems can feed one counter (e.g. every ``Link`` feeding
     ``link_packets_dropped_total``).
     """
 
     def __init__(self, namespace: str = "repro") -> None:
         self.namespace = namespace
-        self._instruments: Dict[str, _Instrument] = {}
-        #: refs (weak, or strong for ``weak=False``) to hooks that fold
-        #: batched deltas in before any read (components that batch
-        #: hot-path increments register here so reported values stay exact)
-        self._flush_hooks: List[Callable[[], Optional[Callable[[], None]]]] = []
+        self._instruments: Dict[str, Counter] = {}
+        #: hooks that fold running tallies in before any read, in
+        #: registration order (each one a :class:`TallyFold`)
+        self._flush_hooks: List[Callable[[], None]] = []
         self._flushing = False
 
-    def __bool__(self) -> bool:  # a real registry is truthy; NULL is not
-        return True
+    # -- fold-on-read hooks ----------------------------------------------------
 
-    # -- batched-instrumentation flush hooks ----------------------------------
+    def on_flush(self, hook: Callable[[], None]) -> None:
+        """Hold ``hook`` (strongly) and run it before every read.
 
-    def on_flush(self, hook, weak: bool = True) -> None:
-        """Register a hook to run before reads.
-
-        Components that accumulate hot-path deltas locally (the rule
-        engine, the surveillance tap, link ledgers) register their fold-in
-        here; :meth:`flush_pending` runs at the top of :meth:`get`,
-        :meth:`snapshot`, :meth:`render_text`, and :meth:`clear`, so every
-        observable value is exact at read time no matter where a batch
-        boundary fell.  Hooks run in registration order (deterministic).
-
-        By default ``hook`` is a bound method held weakly: it dies with
-        its owner — no unregistration needed.  ``weak=False`` holds any
-        callable strongly, for a small folder that owns only the numbers
-        it folds, so those numbers are still reported after their
-        producer has been garbage-collected.
+        :meth:`flush_pending` runs at the top of :meth:`get`,
+        :meth:`snapshot`, :meth:`merge` (on the registry merged in) and
+        :meth:`clear`, so every observable value is exact at read time.
+        Hooks run in registration order (deterministic).  The hook must
+        not hold its producer: :class:`TallyFold` holds only the tallies
+        it folds, so they are still reported after their producer has
+        been garbage-collected.
         """
-        self._flush_hooks.append(
-            weakref.WeakMethod(hook) if weak else (lambda: hook)
-        )
+        self._flush_hooks.append(hook)
 
     def flush_pending(self) -> None:
-        """Run every live flush hook once (reentrancy-safe)."""
+        """Run every flush hook once (reentrancy-safe)."""
         if not self._flush_hooks or self._flushing:
             return
         self._flushing = True
         try:
-            dead = False
-            for ref in self._flush_hooks:
-                hook = ref()
-                if hook is None:
-                    dead = True
-                else:
-                    hook()
-            if dead:
-                self._flush_hooks = [
-                    ref for ref in self._flush_hooks if ref() is not None
-                ]
+            for hook in self._flush_hooks:
+                hook()
         finally:
             self._flushing = False
 
-    # -- instrument factories -------------------------------------------------
-
-    def _get_or_create(self, cls, name: str, help: str, labels, **kwargs):
-        instrument = self._instruments.get(name)
-        if instrument is not None:
-            if not isinstance(instrument, cls):
-                raise TypeError(
-                    f"{name} already registered as {instrument.kind}, "
-                    f"requested {cls.kind}"
-                )
-            if instrument.label_names != tuple(labels):
-                raise ValueError(
-                    f"{name} already registered with labels "
-                    f"{instrument.label_names}, requested {tuple(labels)}"
-                )
-            return instrument
-        instrument = cls(name, help, labels, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
+    # -- counters ---------------------------------------------------------------
 
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labels)
-
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
+        counter = self._instruments.get(name)
+        if counter is None:
+            counter = self._instruments[name] = Counter(name, help, labels)
+        elif counter.label_names != tuple(labels):
+            raise ValueError(
+                f"{name} already registered with labels "
+                f"{counter.label_names}, requested {tuple(labels)}"
+            )
+        return counter
 
     # -- introspection --------------------------------------------------------
 
-    def get(self, name: str) -> Optional[_Instrument]:
+    def get(self, name: str) -> Optional[Counter]:
         self.flush_pending()
         return self._instruments.get(name)
 
@@ -397,50 +264,35 @@ class MetricsRegistry:
         return sorted(self._instruments)
 
     def clear(self) -> None:
-        """Zero every instrument (the instruments themselves survive).
+        """Zero every counter (the counters themselves survive).
 
-        Pending batched deltas are folded in first so they don't leak
-        into the cleared registry on the next read.
+        Tallies are folded in first, so what they gained before the clear
+        does not reappear on the next read.
         """
         self.flush_pending()
         for instrument in self._instruments.values():
             instrument.clear()
 
     def snapshot(self) -> Dict[str, object]:
-        """A deterministic, JSON-ready dump of every instrument.
+        """A deterministic, JSON-ready dump of every counter.
 
-        Instruments sort by name and label rows by label values, so two
+        Counters sort by name and label rows by label values, so two
         identical runs snapshot byte-identically once serialized with
-        sorted keys.  Histogram rows carry the full per-bucket ``counts``
-        list (copied, so later observations never mutate an exported
-        snapshot) alongside ``sum``/``count``; the snapshot round-trips
-        through :meth:`from_snapshot`.
+        sorted keys; the snapshot round-trips through
+        :meth:`from_snapshot`.
         """
         self.flush_pending()
         out: Dict[str, object] = {}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
-            values: List[object] = []
-            for labels, value in instrument.labelled():
-                if isinstance(instrument, Histogram):
-                    value = {
-                        "counts": list(value["counts"]),
-                        "sum": value["sum"],
-                        "count": value["count"],
-                    }
-                values.append([list(labels), value])
-            entry: Dict[str, object] = {
+            out[name] = {
                 "kind": instrument.kind,
                 "help": instrument.help,
                 "labels": list(instrument.label_names),
-                "values": values,
+                "values": [
+                    [list(labels), value] for labels, value in instrument.labelled()
+                ],
             }
-            if isinstance(instrument, Histogram):
-                entry["buckets"] = [
-                    "inf" if bound == float("inf") else bound
-                    for bound in instrument.buckets
-                ]
-            out[name] = entry
         return {"namespace": self.namespace, "instruments": out}
 
     @classmethod
@@ -454,67 +306,37 @@ class MetricsRegistry:
         plain JSON scalars, the identity survives a serialize/parse round
         trip through the campaign journal, which is what lets a resumed
         sweep merge checkpointed snapshots with freshly computed ones
-        into byte-identical reports.  Malformed rows (label arity or
-        bucket-count mismatches — e.g. a journal edited by hand) raise
-        rather than reconstructing a registry that would corrupt a merge.
+        into byte-identical reports.  Malformed input (a row whose label
+        arity does not match, or an instrument that is not a counter —
+        e.g. a journal edited by hand) raises rather than reconstructing
+        a registry that would corrupt a merge.
         """
         registry = cls(namespace=snapshot.get("namespace", "repro"))
         for name, entry in snapshot.get("instruments", {}).items():
             kind = entry["kind"]
-            labels = tuple(entry["labels"])
-            if kind == "counter":
-                instrument = registry.counter(name, entry.get("help", ""), labels)
-                for row_labels, value in entry["values"]:
-                    row = tuple(row_labels)
-                    instrument._check(row)
-                    instrument._values[row] = value
-            elif kind == "gauge":
-                instrument = registry.gauge(name, entry.get("help", ""), labels)
-                for row_labels, value in entry["values"]:
-                    row = tuple(row_labels)
-                    instrument._check(row)
-                    instrument._values[row] = value
-            elif kind == "histogram":
-                buckets = tuple(
-                    float("inf") if bound == "inf" else bound
-                    for bound in entry["buckets"]
+            if kind != "counter":
+                raise ValueError(
+                    f"{name}: instrument kind {kind!r} is not recorded "
+                    "(the registry holds counters only)"
                 )
-                instrument = registry.histogram(
-                    name, entry.get("help", ""), labels, buckets=buckets
-                )
-                for row_labels, state in entry["values"]:
-                    row = tuple(row_labels)
-                    instrument._check(row)
-                    if len(state["counts"]) != len(instrument.buckets):
-                        raise ValueError(
-                            f"{name}: snapshot row has "
-                            f"{len(state['counts'])} bucket counts for "
-                            f"{len(instrument.buckets)} bounds"
-                        )
-                    instrument._values[row] = {
-                        "counts": list(state["counts"]),
-                        "sum": state["sum"],
-                        "count": state["count"],
-                    }
-            else:
-                raise ValueError(f"{name}: unknown instrument kind {kind!r}")
+            counter = registry.counter(name, entry.get("help", ""), entry["labels"])
+            for row_labels, value in entry["values"]:
+                row = tuple(row_labels)
+                counter._check(row)
+                counter._values[row] = value
         return registry
 
     def merge(self, other) -> "MetricsRegistry":
         """Fold another registry (or snapshot dict) into this one, in place.
 
-        Merge semantics are chosen so that N per-worker registries fold
-        into what one shared registry would have recorded: counters sum
-        per label row, gauges take the per-label max (the ``track_max``
-        high-water semantics — see :meth:`Gauge.merge_from`), and
-        histograms add bucket counts elementwise.  All integer quantities
-        are exact; histogram float ``sum``\\ s match the shared registry
-        up to addition reordering.  Folding the *same* parts in the
-        *same* order is always bit-reproducible, which is the invariant
-        sweep reports rely on.  A name registered
-        with a different kind, label set, or bucket bounds on the two
-        sides raises instead of silently corrupting the fold.  Returns
-        ``self`` so merges chain.
+        Counters sum per label row, so N per-worker registries fold into
+        exactly what one shared registry would have recorded (integer
+        counts are exact; float counts match up to addition order).
+        Folding the *same* parts in the *same* order is always
+        bit-reproducible, which is the invariant sweep reports rely on.
+        A name registered with different labels on the two sides raises
+        instead of silently corrupting the fold.  Returns ``self`` so
+        merges chain.
         """
         if isinstance(other, dict):
             other = MetricsRegistry.from_snapshot(other)
@@ -522,180 +344,62 @@ class MetricsRegistry:
             other.flush_pending()
         for name in sorted(other._instruments):
             theirs = other._instruments[name]
-            mine = self._instruments.get(name)
-            if mine is None:
-                kwargs = {"buckets": theirs.buckets} if isinstance(theirs, Histogram) else {}
-                mine = self._get_or_create(
-                    type(theirs), name, theirs.help, theirs.label_names, **kwargs
-                )
-            mine.merge_from(theirs)
+            mine = self.counter(name, theirs.help, theirs.label_names)._values
+            for labels, value in theirs._values.items():
+                mine[labels] = mine.get(labels, 0) + value
         return self
-
-    def render_text(self) -> str:
-        """A Prometheus-flavoured text rendering for eyeballs and logs."""
-        self.flush_pending()
-        lines: List[str] = []
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            full = f"{self.namespace}_{name}"
-            if instrument.help:
-                lines.append(f"# HELP {full} {instrument.help}")
-            lines.append(f"# TYPE {full} {instrument.kind}")
-            for labels, value in instrument.labelled():
-                pairs = [
-                    f'{key}="{val}"'
-                    for key, val in zip(instrument.label_names, labels)
-                ]
-                label_text = "{" + ",".join(pairs) + "}" if pairs else ""
-                if isinstance(instrument, Histogram):
-                    # Prometheus-style cumulative bucket lines: each
-                    # ``le`` bound counts every observation at or below it.
-                    running = 0
-                    for bound, count in zip(instrument.buckets, value["counts"]):
-                        running += count
-                        le = "+Inf" if bound == float("inf") else f"{bound:g}"
-                        bucket_pairs = pairs + [f'le="{le}"']
-                        lines.append(
-                            f"{full}_bucket{{{','.join(bucket_pairs)}}} {running}"
-                        )
-                    lines.append(f"{full}_sum{label_text} {value['sum']}")
-                    lines.append(f"{full}_count{label_text} {value['count']}")
-                else:
-                    lines.append(f"{full}{label_text} {value}")
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 class TallyFold:
-    """Folds plain running tallies into counters whenever the registry is
-    read.
+    """Folds running tallies into counters whenever the registry is read.
 
-    A producer on a hot path keeps ``{labels: running total}`` dicts as
-    its ledger instead of calling :meth:`Counter.inc`; this flush hook
-    adds to each counter what each total gained since the last fold, so
-    repeated reads never double-count, and a total that never moved
-    creates no label row.  A key that is not a tuple is the value of a
-    single label.  The registry holds the fold strongly: it owns only the
-    tallies, so they are still reported after their producer has been
-    collected, and it keeps no producer alive.
+    The one way a component records a metric: on its hot path it keeps
+    plain running totals — a ``{labels: total}`` dict, or any ledger it
+    keeps anyway — instead of calling :meth:`Counter.inc`.  Each pair is
+    ``(counter, items)``, where ``items`` is a zero-argument callable
+    returning ``(labels, running total)`` pairs (a dict tally passes its
+    ``.items``).  On every read this flush hook adds to each counter what
+    each total gained since the last fold, so repeated reads never
+    double-count, and a total that never moved creates no label row.
+    Labels that are not a tuple are the value of a single label.  The
+    registry holds the fold strongly; ``items`` must read only the
+    tallies, never their producer, so what a producer counted is still
+    reported after it has been collected and no simulation is kept alive.
     """
 
     __slots__ = ("_folds",)
 
     def __init__(
-        self, registry: "MetricsRegistry", pairs: Sequence[Tuple[Counter, dict]]
+        self,
+        registry: MetricsRegistry,
+        pairs: Sequence[Tuple[Counter, Callable[[], Iterable[Tuple[object, float]]]]],
     ) -> None:
-        #: (counter, tally, the tally as last folded)
-        self._folds = tuple((counter, tally, {}) for counter, tally in pairs)
-        registry.on_flush(self, weak=False)
+        #: (counter, items, each total as last folded)
+        self._folds = tuple((counter, items, {}) for counter, items in pairs)
+        registry.on_flush(self)
 
     def __call__(self) -> None:
-        for counter, tally, folded in self._folds:
-            for key, value in tally.items():
+        for counter, items, folded in self._folds:
+            for key, value in items():
                 delta = value - folded.get(key, 0)
                 if delta:
                     counter.inc(key if type(key) is tuple else (key,), delta)
                     folded[key] = value
 
 
-class _NullInstrument:
-    """Accepts any recording call and does nothing (shared singleton)."""
-
-    __slots__ = ()
-    kind = "null"
-    name = "null"
-    label_names: LabelTuple = ()
-
-    def inc(self, labels: LabelTuple = (), amount: float = 1) -> None:
-        pass
-
-    def set(self, labels: LabelTuple = (), value: float = 0) -> None:
-        pass
-
-    def track_max(self, labels: LabelTuple = (), value: float = 0) -> None:
-        pass
-
-    def observe(self, labels: LabelTuple = (), value: float = 0) -> None:
-        pass
-
-    def value(self, labels: LabelTuple = ()) -> float:
-        return 0
-
-    def total(self) -> float:
-        return 0
-
-    def count(self, labels: LabelTuple = ()) -> int:
-        return 0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRecorder:
-    """A falsy stand-in registry whose instruments are all no-ops.
-
-    Code that wants an unconditional handle (``self.m = obs.counter(...)``)
-    works against it unchanged; code on a hot path should instead test
-    the recorder once (``if obs:``/``active_or_none()``) and skip the
-    call entirely.
-    """
-
-    namespace = "null"
-
-    def __bool__(self) -> bool:
-        return False
-
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def get(self, name: str) -> None:
-        return None
-
-    def on_flush(self, hook, weak: bool = True) -> None:
-        pass
-
-    def flush_pending(self) -> None:
-        pass
-
-    def names(self) -> List[str]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"namespace": "null", "instruments": {}}
-
-    def render_text(self) -> str:
-        return ""
-
-
-NULL = NullRecorder()
-
 # -- process-wide installation --------------------------------------------------
 
 _state = threading.local()
 
 
-def current_registry():
-    """The installed registry, or the shared :data:`NULL` recorder."""
-    return getattr(_state, "registry", None) or NULL
-
-
 def active_or_none() -> Optional[MetricsRegistry]:
-    """The installed *real* registry, or ``None`` when instrumentation is off.
+    """The installed registry, or ``None`` when instrumentation is off.
 
-    The construction-time resolver for hot-path components: storing the
-    result lets them guard recording with a single ``is not None`` check.
+    The construction-time resolver for instrumented components: storing
+    the result lets them guard recording with a single ``is not None``
+    check.
     """
-    registry = getattr(_state, "registry", None)
-    return registry if registry else None
+    return getattr(_state, "registry", None)
 
 
 def set_registry(registry: Optional[MetricsRegistry]):

@@ -33,10 +33,14 @@ both.  Each engine still owns its rule list, sid map, threshold state,
 stream reader and obs labels; :meth:`RuleEngine.add_rules` builds a
 fresh index and a fresh automaton instead of writing to the shared ones.
 
-Per-packet counter deltas accumulate in plain engine-local ints/dicts and
-fold into the registry every ``obs_flush_interval`` packets, at the end of
-:meth:`RuleEngine.process_batch`, and — via the registry's flush hooks —
-whenever anyone reads the registry, so reported values stay exact.
+An engine keeps never-reset running totals (packets, candidates
+evaluated, prefilter skips) and one sid→count dict of hits; when a
+registry is installed at construction, a
+:class:`~repro.obs.metrics.TallyFold` folds them into the ``rules_*``
+counters whenever the registry is read, so reported values are exact and
+the hot path never touches the registry.  The fold holds only those
+tallies and the engine's label, so an engine collected before the read
+still reports.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..obs.metrics import active_or_none
+from ..obs.metrics import MetricsRegistry, TallyFold, active_or_none
 from ..obs.trace import active_tracer
 from ..packets import IPPacket, PROTO_ICMP, PROTO_TCP, PROTO_UDP
 from .index import MatchContext, RuleDispatchIndex
@@ -58,6 +62,10 @@ __all__ = ["Alert", "RuleEngine", "compiled_ruleset", "clear_ruleset_cache"]
 _PROTO_OF = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
 _EMPTY_IDS: frozenset = frozenset()
+
+#: Tracing is sampled: one aggregated "sweep" instant per this many
+#: packets (deterministic, count-based).
+TRACE_SAMPLE_INTERVAL = 64
 
 #: How many compiled rulesets :func:`compiled_ruleset` keeps (least
 #: recently used first out).  A sweep worker cycles through a handful —
@@ -211,6 +219,41 @@ class _ThresholdState:
         return len(self._events)
 
 
+def _fold_tallies(
+    obs: MetricsRegistry, label: str, totals: List[int], hits: Dict[int, int]
+) -> None:
+    """Register the :class:`TallyFold` of one engine's running totals and
+    hits into the ``rules_*`` counters.  Its callables close over the
+    tallies and the label only, never the engine."""
+    engine = (label,)
+
+    def total(index: int):
+        return lambda: ((engine, totals[index]),)
+
+    TallyFold(obs, (
+        (obs.counter(
+            "rules_packets_total",
+            "Packets run through a rule engine",
+            ("engine",),
+        ), total(0)),
+        (obs.counter(
+            "rules_candidates_evaluated_total",
+            "Candidate rules considered (post dispatch-index)",
+            ("engine",),
+        ), total(1)),
+        (obs.counter(
+            "rules_prefilter_skips_total",
+            "Content rules skipped because a necessary literal was absent",
+            ("engine",),
+        ), total(2)),
+        (obs.counter(
+            "rules_hits_total",
+            "Alerts raised, per rule sid",
+            ("engine", "sid"),
+        ), lambda: [((label, str(sid)), count) for sid, count in hits.items()]),
+    ))
+
+
 class RuleEngine:
     """Evaluates a ruleset against a packet stream.
 
@@ -227,8 +270,6 @@ class RuleEngine:
         overlap_policy: str = "first",
         use_index: bool = True,
         obs_label: str = "engine",
-        obs_flush_interval: int = 64,
-        trace_sample_interval: int = 64,
         *,
         _shared_index: Optional[RuleDispatchIndex] = None,
     ) -> None:
@@ -239,7 +280,6 @@ class RuleEngine:
             stream_depth=stream_depth, overlap_policy=overlap_policy
         ).open_reader()
         self.alerts: List[Alert] = []
-        self.packets_processed = 0
         self._thresholds = _ThresholdState()
         self.use_index = use_index
         #: the dispatch index over ``rules``: the compiled ruleset's shared
@@ -264,52 +304,19 @@ class RuleEngine:
         self._by_sid: Dict[int, Rule] = {rule.sid: rule for rule in self.rules}
         # Observability, resolved once; ``obs_label`` distinguishes the
         # censor's engine from the MVR's in shared registry counters.
-        # Per-packet deltas accumulate in the ``_pend_*`` fields and fold
-        # into the registry every ``obs_flush_interval`` packets and on
-        # any registry read (the flush hook), so values stay exact.
         self.obs_label = obs_label
-        self.obs_flush_interval = obs_flush_interval
-        #: [packets, evaluated, prefilter_skips, flush_interval] — a flat
-        #: list so the hot path pays one attribute load, not nine
-        self._pend = [0, 0, 0, obs_flush_interval]
-        self._pend_hits: Dict[int, int] = {}
-        #: sid -> interned ``(obs_label, "sid")`` label tuple, built at
-        #: rule-add time instead of per alert on the hot path
-        self._hit_labels: Dict[int, Tuple[str, str]] = {}
-        self._engine_label = (obs_label,)
+        #: running totals [packets, candidates evaluated, prefilter
+        #: skips] — a flat list so the hot path pays one attribute load —
+        #: and sid -> alerts raised; never reset, folded on registry read
+        self._totals = [0, 0, 0]
+        self._hits: Dict[int, int] = {}
         obs = active_or_none()
-        self._obs = obs
         if obs is not None:
-            self._m_packets = obs.counter(
-                "rules_packets_total",
-                "Packets run through a rule engine",
-                ("engine",),
-            )
-            self._m_evaluated = obs.counter(
-                "rules_candidates_evaluated_total",
-                "Candidate rules considered (post dispatch-index)",
-                ("engine",),
-            )
-            self._m_prefilter = obs.counter(
-                "rules_prefilter_skips_total",
-                "Content rules skipped because a necessary literal was absent",
-                ("engine",),
-            )
-            self._m_hits = obs.counter(
-                "rules_hits_total",
-                "Alerts raised, per rule sid",
-                ("engine", "sid"),
-            )
-            for rule in self.rules:
-                self._hit_labels[rule.sid] = (obs_label, str(rule.sid))
-            obs.on_flush(self.flush_obs)
-        # Tracing is sampled: one aggregated "sweep" instant per
-        # ``trace_sample_interval`` packets (deterministic, count-based).
+            _fold_tallies(obs, obs_label, self._totals, self._hits)
         tracer = active_tracer()
         self._trace = (
             tracer if tracer is not None and tracer.enabled_for("rules") else None
         )
-        self.trace_sample_interval = trace_sample_interval
         self._trace_track = f"rules:{obs_label}"
         self._trace_pkts = 0
         self._trace_candidates = 0
@@ -361,8 +368,10 @@ class RuleEngine:
             self._mp = replacement
         for rule in added:
             self._by_sid[rule.sid] = rule
-            if self._obs is not None:
-                self._hit_labels[rule.sid] = (self.obs_label, str(rule.sid))
+
+    @property
+    def packets_processed(self) -> int:
+        return self._totals[0]
 
     def rule_by_sid(self, sid: int) -> Optional[Rule]:
         return self._by_sid.get(sid)
@@ -407,7 +416,6 @@ class RuleEngine:
 
     def process(self, packet: IPPacket, now: float) -> List[Alert]:
         """Run the packet through reassembly and every candidate rule."""
-        self.packets_processed += 1
         tcp = packet.tcp
         update = self.stream.feed_tcp(packet, tcp, now) if tcp is not None else None
         ctx = MatchContext(packet, update, tcp=tcp)
@@ -501,19 +509,15 @@ class RuleEngine:
                     continue
                 state.alerted.add(rule.sid)
             matches.append(self._alert(rule, packet, now, ctx))
-        if self._obs is not None:
-            # Batched instrumentation: plain-int deltas here, registry
-            # folds in flush_obs() (interval, batch end, or registry read).
-            pend = self._pend
-            pend[0] += 1
-            pend[1] += evaluated
-            pend[2] += prefilter_skips
-            if matches:
-                hits = self._pend_hits
-                for alert in matches:
-                    hits[alert.sid] = hits.get(alert.sid, 0) + 1
-            if pend[0] >= pend[3]:
-                self.flush_obs()
+        # Running totals only; a registry folds them in when it is read.
+        totals = self._totals
+        totals[0] += 1
+        totals[1] += evaluated
+        totals[2] += prefilter_skips
+        if matches:
+            hits = self._hits
+            for alert in matches:
+                hits[alert.sid] = hits.get(alert.sid, 0) + 1
         if self._trace is not None:
             self._trace_pkts += 1
             self._trace_candidates += evaluated
@@ -521,7 +525,7 @@ class RuleEngine:
             self._trace_skips += prefilter_skips
             if passed:
                 self._trace_passed += 1
-            if self._trace_pkts >= self.trace_sample_interval:
+            if self._trace_pkts >= TRACE_SAMPLE_INTERVAL:
                 self._emit_trace_sample(now)
         self.alerts.extend(matches)
         return matches
@@ -534,20 +538,14 @@ class RuleEngine:
         """Evaluate many packets in one call; returns per-packet alerts.
 
         ``now`` is either one timestamp for the whole batch or a sequence
-        of per-packet timestamps.  Semantics
-        are exactly ``[process(p, t) for p, t in ...]`` — same alerts,
-        same order, same threshold and stream state — but the per-packet
-        observability touch is amortized: pending counters fold into the
-        registry once, at the end of the batch.
+        of per-packet timestamps.  Semantics are exactly
+        ``[process(p, t) for p, t in ...]`` — same alerts, same order,
+        same threshold and stream state, same running totals.
         """
         process = self.process
         if isinstance(now, (int, float)):
-            results = [process(packet, now) for packet in packets]
-        else:
-            results = [process(packet, when) for packet, when in zip(packets, now)]
-        if self._obs is not None:
-            self.flush_obs()
-        return results
+            return [process(packet, now) for packet in packets]
+        return [process(packet, when) for packet, when in zip(packets, now)]
 
     def _flow_state(self, flow: FlowRecord) -> _FlowState:
         """This engine's state for ``flow``, created on first use."""
@@ -604,27 +602,6 @@ class RuleEngine:
         if entry is None or entry[0] != flow.content_version or entry[1] != length:
             entry = state.memos[direction] = (flow.content_version, length, {})
         return entry[2]
-
-    def flush_obs(self) -> None:
-        """Fold pending instrumentation deltas into the registry (exact)."""
-        pend = self._pend
-        if self._obs is None or not pend[0]:
-            return
-        label = self._engine_label
-        self._m_packets.inc(label, pend[0])
-        self._m_evaluated.inc(label, pend[1])
-        if pend[2]:
-            self._m_prefilter.inc(label, pend[2])
-        pend[0] = pend[1] = pend[2] = 0
-        if self._pend_hits:
-            hits = self._m_hits
-            labels = self._hit_labels
-            for sid, count in self._pend_hits.items():
-                sid_label = labels.get(sid)
-                if sid_label is None:
-                    sid_label = labels[sid] = (self.obs_label, str(sid))
-                hits.inc(sid_label, count)
-            self._pend_hits.clear()
 
     def _emit_trace_sample(self, now: float) -> None:
         self._trace.instant(

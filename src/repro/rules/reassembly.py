@@ -71,9 +71,6 @@ class FlowRecord:
     #: plain-tuple key into the reassembler's fast flow table
     _tkey: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    def direction_of(self, packet: IPPacket) -> str:
-        return "c2s" if packet.src == self.initiator else "s2c"
-
     def buffer(self, direction: str) -> bytearray:
         return self.buffers[direction]
 

@@ -181,12 +181,3 @@ def surveillance_interest_ruleset_text(
         'content:"obfs4-bridge"; classtype:censorship-interest; sid:3000999; rev:1;)'
     )
     return "\n".join(lines)
-
-
-def _dns_qname_content(domain: str) -> str:
-    """Snort content for a QNAME: labels are length-prefixed on the wire."""
-    parts = domain.rstrip(".").split(".")
-    out = []
-    for label in parts:
-        out.append(f"|{len(label):02x}|{label}")
-    return "".join(out) + "|00|"

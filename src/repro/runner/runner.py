@@ -103,7 +103,7 @@ class SweepRunner:
         #: called with a small progress event after every finished point;
         #: an execution-side channel (like the journal), never reported.
         self.progress = progress
-        #: merged registry from the last :meth:`run`, for render_text etc.
+        #: merged registry from the last :meth:`run`
         self.merged_registry: Optional[MetricsRegistry] = None
         #: grid indexes restored from the journal on the last run.
         self.resumed_indexes: List[int] = []

@@ -19,7 +19,6 @@ system retaining a *user-attributed alert* for the measurer.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..netsim.middlebox import Action, Middlebox, TapContext
@@ -97,21 +96,21 @@ class SurveillanceSystem(Middlebox):
                 (obs.counter(
                     "mvr_packets_ingested_total",
                     "Packets entering the surveillance tap",
-                ), self._packets),
+                ), self._packets.items),
                 (obs.counter(
                     "mvr_bytes_ingested_total",
                     "Wire bytes entering the surveillance tap",
-                ), self.store.volume),
+                ), self.store.volume.items),
                 (obs.counter(
                     "mvr_bytes_discarded_total",
                     "Bytes discarded by stage-1 Massive Volume Reduction",
                     ("traffic_class",),
-                ), self.discarded_by_class),
+                ), self.discarded_by_class.items),
                 (obs.counter(
                     "mvr_bytes_retained_total",
                     "Bytes retained as content past stage 1",
                     ("traffic_class",),
-                ), self.retained_by_class),
+                ), self.retained_by_class.items),
             ))
             self._m_alerts = obs.counter(
                 "mvr_alerts_stored_total",
@@ -261,18 +260,6 @@ class SurveillanceSystem(Middlebox):
     def raw_alerts_for_user(self, user: str) -> List[StoredAlert]:
         """All retained alerts for ``user``, before bot suppression."""
         return self.store.alerts_for_user(user)
-
-    def alerts_from_origin(self, origin_ip: str) -> List[StoredAlert]:
-        """Effective alerts whose *true* origin was ``origin_ip``.
-
-        Only the evaluation can ask this; the surveillance system itself
-        has no access to origin metadata.
-        """
-        return [
-            stored
-            for stored in self.effective_alerts()
-            if stored.origin_ip == origin_ip
-        ]
 
     def suspect_report(self, sids=None) -> SuspectReport:
         """Attribution distribution over effective alerts."""

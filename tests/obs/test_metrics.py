@@ -5,15 +5,11 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
-    NullRecorder,
     active_or_none,
     canonical_json,
-    current_registry,
     set_registry,
     use_registry,
 )
@@ -55,22 +51,6 @@ class TestCounter:
         assert [labels for labels, _ in c.labelled()] == [("alpha",), ("zeta",)]
 
 
-class TestGauge:
-    def test_set_overwrites(self):
-        g = Gauge("depth", "", ())
-        g.set(value=3)
-        g.set(value=-1)
-        assert g.value() == -1
-
-    def test_track_max_keeps_high_water(self):
-        g = Gauge("depth", "", ())
-        g.track_max(value=5)
-        g.track_max(value=2)
-        assert g.value() == 5
-        g.track_max(value=9)
-        assert g.value() == 9
-
-
 class TestHistogram:
     def test_observations_land_in_buckets(self):
         h = Histogram("lat", "", (), buckets=(0.1, 1.0))
@@ -96,12 +76,10 @@ class TestHistogram:
         for value in (0.05, 0.5, 0.6, 100.0):
             h.observe(value=value)
         assert h.bucket_counts() == [1, 2, 1]
-        assert h.cumulative_counts() == [1, 3, 4]
 
     def test_bucket_counts_for_unseen_labels_are_zero(self):
         h = Histogram("lat", "", ("op",), buckets=(0.1,))
         assert h.bucket_counts(("get",)) == [0, 0]
-        assert h.cumulative_counts(("get",)) == [0, 0]
 
 
 class TestHistogramQuantile:
@@ -164,50 +142,6 @@ class TestHistogramQuantile:
         assert h.quantile(1.0, ("slow",)) > 1.0
 
 
-class TestHistogramExport:
-    """Regression: bucket counts were recorded but never exported — the
-    text rendering showed only count/sum and no ``_bucket`` lines."""
-
-    def _histogram_registry(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", help="latency", labels=("op",),
-                          buckets=(0.1, 1.0))
-        for value in (0.05, 0.5, 0.6, 100.0):
-            h.observe(("get",), value)
-        return reg
-
-    def test_render_text_emits_cumulative_bucket_lines(self):
-        text = self._histogram_registry().render_text()
-        assert 'repro_lat_bucket{op="get",le="0.1"} 1' in text
-        assert 'repro_lat_bucket{op="get",le="1"} 3' in text
-        assert 'repro_lat_bucket{op="get",le="+Inf"} 4' in text
-        assert 'repro_lat_sum{op="get"} 101.15' in text
-        assert 'repro_lat_count{op="get"} 4' in text
-
-    def test_render_text_golden(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat", buckets=(0.5,)).observe(value=0.25)
-        assert reg.render_text() == (
-            "# TYPE repro_lat histogram\n"
-            'repro_lat_bucket{le="0.5"} 1\n'
-            'repro_lat_bucket{le="+Inf"} 1\n'
-            "repro_lat_sum 0.25\n"
-            "repro_lat_count 1\n"
-        )
-
-    def test_snapshot_includes_per_bucket_counts(self):
-        snap = self._histogram_registry().snapshot()
-        rows = snap["instruments"]["lat"]["values"]
-        assert rows == [[["get"], {"counts": [1, 2, 1], "sum": 101.15,
-                                   "count": 4}]]
-
-    def test_snapshot_is_isolated_from_later_observations(self):
-        reg = self._histogram_registry()
-        snap = reg.snapshot()
-        reg.get("lat").observe(("get",), 0.01)
-        assert snap["instruments"]["lat"]["values"][0][1]["count"] == 4
-
-
 class TestMerge:
     def test_counters_sum_per_label(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -219,25 +153,6 @@ class TestMerge:
         assert a.get("hits").value(("x",)) == 5
         assert a.get("hits").value(("y",)) == 1
 
-    def test_gauges_take_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").track_max(value=7)
-        b.gauge("depth").track_max(value=4)
-        a.merge(b)
-        assert a.get("depth").value() == 7
-        b.gauge("depth").track_max(value=11)
-        a.merge(b)
-        assert a.get("depth").value() == 11
-
-    def test_histograms_add_buckets_elementwise(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", buckets=(0.1, 1.0)).observe(value=0.05)
-        b.histogram("lat", buckets=(0.1, 1.0)).observe(value=0.5)
-        b.histogram("lat", buckets=(0.1, 1.0)).observe(value=50.0)
-        a.merge(b)
-        assert a.get("lat").bucket_counts() == [1, 1, 1]
-        assert a.get("lat").count() == 3
-
     def test_merge_into_empty_registry(self):
         src = MetricsRegistry()
         src.counter("hits").inc(amount=2)
@@ -245,23 +160,18 @@ class TestMerge:
         assert merged.get("hits").value() == 2
 
     def test_kind_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
+        a = MetricsRegistry()
         a.counter("thing").inc()
-        b.gauge("thing").set(value=1)
-        with pytest.raises(TypeError):
-            a.merge(b)
+        snap = json.loads(canonical_json(a.snapshot()))
+        snap["instruments"]["thing"]["kind"] = "gauge"
+        with pytest.raises(ValueError, match="thing"):
+            a.merge(snap)
+        assert a.get("thing").value() == 1
 
     def test_label_conflict_raises(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("thing", labels=("x",)).inc(("1",))
         b.counter("thing", labels=("y",)).inc(("1",))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_bucket_conflict_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", buckets=(0.1,)).observe(value=0.05)
-        b.histogram("lat", buckets=(0.5,)).observe(value=0.05)
         with pytest.raises(ValueError):
             a.merge(b)
 
@@ -271,11 +181,10 @@ class TestMerge:
         def record(reg, values):
             for value in values:
                 reg.counter("hits", labels=("who",)).inc(("x",))
-                reg.gauge("depth").track_max(value=value)
-                reg.histogram("lat", buckets=(0.1, 1.0)).observe(value=value)
+                reg.counter("bytes", labels=("who",)).inc((str(value > 1),), value)
 
         # binary fractions: float addition is exact, so the partition
-        # into workers cannot perturb the histogram sums
+        # into workers cannot perturb the float sums
         serial = MetricsRegistry()
         record(serial, [0.0625, 0.5, 3.0, 0.125])
 
@@ -290,8 +199,8 @@ class TestMerge:
     def test_from_snapshot_round_trip(self):
         reg = MetricsRegistry()
         reg.counter("hits", labels=("who",)).inc(("x",), 2)
-        reg.gauge("depth").set(value=-3)
-        reg.histogram("lat", buckets=(0.1,)).observe(value=0.05)
+        reg.counter("total").inc(amount=3)
+        reg.counter("idle", labels=("who",))
         clone = MetricsRegistry.from_snapshot(reg.snapshot())
         assert canonical_json(clone.snapshot()) == canonical_json(reg.snapshot())
 
@@ -303,10 +212,7 @@ class TestMerge:
         reg = MetricsRegistry()
         reg.counter("hits", labels=("who",)).inc(("x",), 2)
         reg.counter("hits", labels=("who",)).inc(("y",), 0.5)  # float counter
-        reg.gauge("depth").track_max(value=7)
-        hist = reg.histogram("lat", buckets=(0.1, 1.0))
-        for value in (0.0625, 0.5, 3.0):
-            hist.observe(value=value)
+        reg.counter("total").inc(amount=7)
         parsed = json.loads(canonical_json(reg.snapshot()))
         clone = MetricsRegistry.from_snapshot(parsed)
         assert canonical_json(clone.snapshot()) == canonical_json(reg.snapshot())
@@ -327,12 +233,30 @@ class TestMerge:
             MetricsRegistry.from_snapshot(snap)
 
     def test_from_snapshot_rejects_bucket_count_mismatch(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat", buckets=(0.1,)).observe(value=0.05)
-        snap = json.loads(canonical_json(reg.snapshot()))
-        snap["instruments"]["lat"]["values"][0][1]["counts"].append(9)
-        with pytest.raises(ValueError):
+        """A histogram row in a hand-edited journal (here one whose
+        bucket counts do not match its bounds) is rejected by name: the
+        registry records counters only."""
+        snap = {"namespace": "repro", "instruments": {"lat": {
+            "kind": "histogram", "help": "", "labels": [],
+            "buckets": [0.1, "inf"],
+            "values": [[[], {"counts": [1, 0, 9], "sum": 0.05, "count": 1}]],
+        }}}
+        with pytest.raises(ValueError, match="lat.*histogram"):
             MetricsRegistry.from_snapshot(snap)
+
+    @pytest.mark.parametrize("kind", ["gauge", "histogram"])
+    def test_from_snapshot_rejects_instruments_that_are_not_counters(self, kind):
+        """The registry records counters only: a journal row of another
+        kind is rejected by name, not dropped or misread."""
+        reg = MetricsRegistry()
+        reg.counter("hits").inc()
+        reg.counter("lat").inc()
+        snap = json.loads(canonical_json(reg.snapshot()))
+        snap["instruments"]["lat"]["kind"] = kind
+        with pytest.raises(ValueError, match=f"lat.*{kind}"):
+            MetricsRegistry.from_snapshot(snap)
+        with pytest.raises(ValueError, match=f"lat.*{kind}"):
+            MetricsRegistry().merge(snap)
 
 
 class TestRegistry:
@@ -341,12 +265,6 @@ class TestRegistry:
         a = reg.counter("packets_total", labels=("link",))
         b = reg.counter("packets_total", labels=("link",))
         assert a is b
-
-    def test_kind_collision_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("thing")
-        with pytest.raises(TypeError):
-            reg.gauge("thing")
 
     def test_label_collision_raises(self):
         reg = MetricsRegistry()
@@ -357,7 +275,7 @@ class TestRegistry:
     def test_names_sorted(self):
         reg = MetricsRegistry()
         reg.counter("zeta")
-        reg.gauge("alpha")
+        reg.counter("alpha")
         assert reg.names() == ["alpha", "zeta"]
 
     def test_clear_zeroes_but_keeps_instruments(self):
@@ -371,17 +289,6 @@ class TestRegistry:
     def test_registry_is_truthy(self):
         assert MetricsRegistry()
 
-    def test_render_text_includes_help_type_and_labels(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", help="how many", labels=("host",))
-        c.inc(("alice",), 3)
-        text = reg.render_text()
-        assert "# HELP repro_hits_total how many" in text
-        assert "# TYPE repro_hits_total counter" in text
-        assert 'repro_hits_total{host="alice"} 3' in text
-
-
-
 class TestTallyFold:
     """Plain tallies folded into counters at read time."""
 
@@ -389,7 +296,7 @@ class TestTallyFold:
         reg = MetricsRegistry()
         hits = reg.counter("hits_total", labels=("host",))
         tally = {}
-        TallyFold(reg, ((hits, tally),))
+        TallyFold(reg, ((hits, tally.items),))
         tally[("alice",)] = 3
         assert reg.get("hits_total").value(("alice",)) == 3
         tally[("alice",)] = 5
@@ -401,14 +308,14 @@ class TestTallyFold:
     def test_scalar_keys_are_a_single_label(self):
         reg = MetricsRegistry()
         hits = reg.counter("hits_total", labels=("host",))
-        TallyFold(reg, ((hits, {"alice": 2}),))
+        TallyFold(reg, ((hits, {"alice": 2}.items),))
         assert dict(reg.get("hits_total").labelled()) == {("alice",): 2}
 
     def test_a_total_that_never_moved_adds_no_row(self):
         reg = MetricsRegistry()
         hits = reg.counter("hits_total", labels=("host",))
         tally = {("alice",): 0}
-        TallyFold(reg, ((hits, tally),))
+        TallyFold(reg, ((hits, tally.items),))
         assert reg.snapshot()["instruments"]["hits_total"]["values"] == []
         tally[("alice",)] = 4
         reg.clear()
@@ -423,7 +330,7 @@ class TestTallyFold:
         class Producer:
             def __init__(self, reg):
                 self.tally = {(): 0}
-                TallyFold(reg, ((reg.counter("hits_total"), self.tally),))
+                TallyFold(reg, ((reg.counter("hits_total"), self.tally.items),))
 
         reg = MetricsRegistry()
         producer = Producer(reg)
@@ -439,60 +346,36 @@ class TestSnapshot:
         reg = MetricsRegistry()
         reg.counter("zeta_total", labels=("who",)).inc(("b",))
         reg.counter("zeta_total", labels=("who",)).inc(("a",), 2)
-        reg.gauge("alpha_depth").set(value=7)
-        reg.histogram("lat", buckets=(0.1,)).observe(value=0.05)
+        reg.counter("alpha_total").inc(amount=7)
+        reg.counter("lat_total", labels=("op",))
         return reg
 
     def test_snapshot_shape(self):
         snap = self._populated().snapshot()
         assert snap["namespace"] == "repro"
-        assert list(snap["instruments"]) == ["alpha_depth", "lat", "zeta_total"]
+        assert list(snap["instruments"]) == ["alpha_total", "lat_total", "zeta_total"]
         zeta = snap["instruments"]["zeta_total"]
         assert zeta["kind"] == "counter"
         assert zeta["values"] == [[["a"], 2], [["b"], 1]]  # label-sorted
 
-    def test_snapshot_renders_inf_bucket_as_string(self):
-        snap = self._populated().snapshot()
-        assert snap["instruments"]["lat"]["buckets"] == [0.1, "inf"]
-        # Must round-trip through strict JSON (no Infinity literals).
-        json.loads(canonical_json(snap))
-
     def test_snapshot_deterministic_across_insertion_order(self):
         a = self._populated()
         b = MetricsRegistry()
-        b.histogram("lat", buckets=(0.1,)).observe(value=0.05)
-        b.gauge("alpha_depth").set(value=7)
+        b.counter("lat_total", labels=("op",))
+        b.counter("alpha_total").inc(amount=7)
         b.counter("zeta_total", labels=("who",)).inc(("a",), 2)
         b.counter("zeta_total", labels=("who",)).inc(("b",))
         assert canonical_json(a.snapshot()) == canonical_json(b.snapshot())
 
 
-class TestNullRecorder:
-    def test_falsy_and_no_op(self):
-        null = NullRecorder()
-        assert not null
-        c = null.counter("hits", labels=("a",))
-        c.inc(("x",), 10)  # label arity unchecked, nothing stored
-        assert c.value(("x",)) == 0
-        assert null.names() == []
-        assert null.snapshot() == {"namespace": "null", "instruments": {}}
-        assert null.render_text() == ""
-
-    def test_all_instruments_are_shared_singleton(self):
-        null = NullRecorder()
-        assert null.counter("a") is null.gauge("b") is null.histogram("c")
-
-
 class TestInstallation:
-    def test_defaults_to_null_and_none(self):
-        assert current_registry() is NULL
+    def test_defaults_to_none(self):
         assert active_or_none() is None
 
     def test_use_registry_scopes_installation(self):
         reg = MetricsRegistry()
         with use_registry(reg) as installed:
             assert installed is reg
-            assert current_registry() is reg
             assert active_or_none() is reg
         assert active_or_none() is None
 

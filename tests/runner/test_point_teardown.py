@@ -50,3 +50,25 @@ def test_finished_point_is_freed_without_gc(simulators, spec):
         assert all(ref() is None for ref in simulators)
     finally:
         gc.enable()
+
+
+def test_finished_censored_as_points_are_freed_without_gc(simulators):
+    """DNS lookups, HTTP and SMTP exchanges, and server connections still
+    open when the point ends, under two censor families and from both
+    vantages: none may keep the point's world in a reference cycle."""
+    spec = SweepSpec(
+        name="teardown", seeds=(0,), topologies=("censored-as",),
+        techniques=("overt-http", "spam", "ddos", "stateful"),
+        censors=("gfc", "throttler"), vantages=("censored", "clean"), duration=20,
+    )
+    for point in spec.points():
+        simulators.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            record = run_point(point.as_dict(), in_process=True)
+            assert record["status"] == "ok"
+            assert simulators, "the point built no simulator"
+            assert all(ref() is None for ref in simulators), point.as_dict()
+        finally:
+            gc.enable()
